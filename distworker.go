@@ -422,8 +422,7 @@ func (w *distWorker) flushBuffers() {
 
 // sendTraffic reports the node's cumulative wire counters.
 func (w *distWorker) sendTraffic() {
-	t := w.node.Traffic()
-	w.send(monitor.Traffic{MsgsIn: t.MsgsIn, MsgsOut: t.MsgsOut, BytesIn: t.BytesIn, BytesOut: t.BytesOut})
+	w.send(monitor.Traffic(w.node.Traffic()))
 }
 
 // flushBarrier drains everything the node has measured — buffers, traffic,

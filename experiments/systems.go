@@ -45,12 +45,14 @@ type sysResult struct {
 // deliveryTracker records first/last delivery instants per node plus the
 // per-message delivery delay relative to publish time. record runs on
 // scheduler shard goroutines (the simulator defaults to one shard per CPU),
-// so the maps are mutex-guarded.
+// so the maps are mutex-guarded, and each delivery is stamped with the
+// delivering node's own clock: the network's driver clock only advances at
+// shard barriers, so reading it from a shard goroutine gives stale,
+// worker-count-dependent instants.
 type deliveryTracker struct {
 	mu          sync.Mutex
 	first, last map[ids.NodeID]time.Time
 	count       map[ids.NodeID]int
-	now         func() time.Time
 	pubAt       map[uint32]time.Time
 	delaySum    time.Duration
 	delayN      int
@@ -65,16 +67,16 @@ func newDeliveryTracker() *deliveryTracker {
 	}
 }
 
-// published records a message's injection time.
-func (d *deliveryTracker) published(seq uint32) {
-	t := d.now()
+// published records a message's injection time, read from the driver clock
+// by the driver callback that publishes.
+func (d *deliveryTracker) published(seq uint32, t time.Time) {
 	d.mu.Lock()
 	d.pubAt[seq] = t
 	d.mu.Unlock()
 }
 
-func (d *deliveryTracker) record(id ids.NodeID, seq uint32) {
-	t := d.now()
+// record books one delivery at instant t of the delivering node's clock.
+func (d *deliveryTracker) record(id ids.NodeID, seq uint32, t time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.first[id]; !ok {
@@ -182,16 +184,16 @@ func nonSource(all []ids.NodeID, source ids.NodeID) []ids.NodeID {
 func runSystemSimpleTree(p sysParams) sysResult {
 	net := simnet.New(simnet.Options{Seed: p.Seed, Latency: p.Latency, ProcessingDelay: p.Proc})
 	tr := newDeliveryTracker()
-	tr.now = net.Now
 	coord := ids.NodeID(1)
 	peers := make([]*simpletree.Peer, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		self := ids.NodeID(i + 1)
-		peers[i] = simpletree.New(self, coord, func(_ ids.NodeID) func(brisa.StreamID, uint32, []byte) {
-			id := self
-			return func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(id, seq) }
-		}(self))
-		net.AddNode(self, peers[i].Handler())
+		var peer *simpletree.Peer
+		peer = simpletree.New(self, coord, func(_ brisa.StreamID, seq uint32, _ []byte) {
+			tr.record(self, seq, peer.Now())
+		})
+		peers[i] = peer
+		net.AddNode(self, peer.Handler())
 	}
 	for i := 1; i < p.Nodes; i++ {
 		i := i
@@ -203,7 +205,7 @@ func runSystemSimpleTree(p sysParams) sysResult {
 		i := i
 		net.After(time.Duration(i)*MessageInterval, func() {
 			seq := peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq)
+			tr.published(seq, net.Now())
 		})
 	}
 	net.RunFor(time.Duration(p.Msgs)*MessageInterval + 20*time.Second)
@@ -223,17 +225,17 @@ func runSystemSimpleTree(p sysParams) sysResult {
 func runSystemSimpleGossip(p sysParams) sysResult {
 	net := simnet.New(simnet.Options{Seed: p.Seed, Latency: p.Latency, ProcessingDelay: p.Proc})
 	tr := newDeliveryTracker()
-	tr.now = net.Now
 	peers := make([]*simplegossip.Peer, p.Nodes)
 	for i := 0; i < p.Nodes; i++ {
 		self := ids.NodeID(i + 1)
-		id := self
-		peers[i] = simplegossip.New(simplegossip.Config{
+		var peer *simplegossip.Peer
+		peer = simplegossip.New(simplegossip.Config{
 			Fanout:            simplegossip.FanoutFor(p.Nodes),
 			AntiEntropyPeriod: MessageInterval / 2, // double the creation frequency
-			OnDeliver:         func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(id, seq) },
+			OnDeliver:         func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(self, seq, peer.Now()) },
 		})
-		net.AddNode(self, peers[i].Handler())
+		peers[i] = peer
+		net.AddNode(self, peer.Handler())
 	}
 	for i := 1; i < p.Nodes; i++ {
 		i := i
@@ -247,7 +249,7 @@ func runSystemSimpleGossip(p sysParams) sysResult {
 		i := i
 		net.After(time.Duration(i)*MessageInterval, func() {
 			seq := peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq)
+			tr.published(seq, net.Now())
 		})
 	}
 	net.RunFor(time.Duration(p.Msgs)*MessageInterval + 30*time.Second)
@@ -346,22 +348,25 @@ func (tc *tagCluster) stabilize(n int) {
 
 func runSystemTAG(p sysParams) sysResult {
 	tr := newDeliveryTracker()
-	tc := newTagClusterProc(p.Nodes, p.Seed, p.Latency, p.Proc, func(self ids.NodeID) tag.Config {
-		id := self
+	// byID is complete before the first delivery and never written after
+	// (this run has no churn), so shard goroutines may read it.
+	var tc *tagCluster
+	tc = newTagClusterProc(p.Nodes, p.Seed, p.Latency, p.Proc, func(self ids.NodeID) tag.Config {
 		return tag.Config{
 			PullPeriod:      400 * time.Millisecond,
 			MaxItemsPerPull: 1,
-			OnDeliver:       func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(id, seq) },
+			OnDeliver: func(_ brisa.StreamID, seq uint32, _ []byte) {
+				tr.record(self, seq, tc.byID[self].Now())
+			},
 		}
 	})
-	tr.now = tc.net.Now
 	tc.stabilize(p.Nodes)
 	tc.net.SetPhase(simnet.PhaseDissemination)
 	for i := 0; i < p.Msgs; i++ {
 		i := i
 		tc.net.After(time.Duration(i)*MessageInterval, func() {
 			seq := tc.peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq)
+			tr.published(seq, tc.net.Now())
 		})
 	}
 	// TAG's one-item pulls drain slower than the injection rate; allow the

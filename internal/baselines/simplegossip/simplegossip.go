@@ -148,6 +148,10 @@ func New(cfg Config) *Peer {
 	}
 }
 
+// Now reads the peer's own clock. Call it only from the peer's actor, e.g.
+// in an OnDeliver callback: it is the clock a delivery is stamped with.
+func (p *Peer) Now() time.Time { return p.env.Now() }
+
 // Handler returns the actor to register with a runtime: the Cyclon layer
 // and the gossip layer on one mux.
 func (p *Peer) Handler() node.Handler {

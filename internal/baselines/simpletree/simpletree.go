@@ -8,6 +8,8 @@
 package simpletree
 
 import (
+	"time"
+
 	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -63,6 +65,10 @@ func New(self, coord ids.NodeID, onDeliver func(wire.StreamID, uint32, []byte)) 
 		onDeliver: onDeliver,
 	}
 }
+
+// Now reads the peer's own clock. Call it only from the peer's actor, e.g.
+// in an OnDeliver callback: it is the clock a delivery is stamped with.
+func (p *Peer) Now() time.Time { return p.env.Now() }
 
 // Handler returns the actor to register with a runtime.
 func (p *Peer) Handler() node.Handler {

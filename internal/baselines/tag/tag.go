@@ -142,6 +142,10 @@ func New(self ids.NodeID, cfg Config) *Peer {
 	}
 }
 
+// Now reads the peer's own clock. Call it only from the peer's actor, e.g.
+// in an OnDeliver callback: it is the clock a delivery is stamped with.
+func (p *Peer) Now() time.Time { return p.env.Now() }
+
 // Handler returns the actor to register with a runtime.
 func (p *Peer) Handler() node.Handler {
 	mux := node.NewMux()

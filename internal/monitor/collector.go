@@ -28,15 +28,14 @@ type BlobState struct {
 
 // NodeState is everything one remote node has reported.
 type NodeState struct {
-	Agent       string
-	Index       int
-	Streams     map[int]*StreamState // by workload index
-	Blobs       map[int]*BlobState   // by blob workload index
-	HardNanos   []int64
-	Traffic     Traffic
-	TrafficBase Traffic
-	Metrics     NodeMetrics
-	HasTraffic  bool
+	Agent      string
+	Index      int
+	Streams    map[int]*StreamState // by workload index
+	Blobs      map[int]*BlobState   // by blob workload index
+	HardNanos  []int64
+	Traffic    Traffic
+	Metrics    NodeMetrics
+	HasTraffic bool
 }
 
 func (n *NodeState) stream(wi int) *StreamState {
@@ -283,19 +282,6 @@ func (c *Collector) BlobDoneCount(id ids.NodeID, wi int) int {
 		return 0
 	}
 	return len(st.Done)
-}
-
-// MarkTrafficBase snapshots each listed node's current traffic counters as
-// its dissemination baseline (call behind a flush barrier, before the
-// workloads start).
-func (c *Collector) MarkTrafficBase(nodes []ids.NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range nodes {
-		if ns, ok := c.nodes[id]; ok {
-			ns.TrafficBase = ns.Traffic
-		}
-	}
 }
 
 // View runs fn with the collector's state under the lock. fn must not

@@ -225,16 +225,6 @@ func (m Traffic) AppendTo(b []byte) []byte {
 }
 func (Traffic) WireSize() int { return 1 + 4*8 }
 
-// Sub subtracts a baseline snapshot, counter-wise.
-func (m Traffic) Sub(o Traffic) Traffic {
-	return Traffic{
-		MsgsIn:   m.MsgsIn - o.MsgsIn,
-		MsgsOut:  m.MsgsOut - o.MsgsOut,
-		BytesIn:  m.BytesIn - o.BytesIn,
-		BytesOut: m.BytesOut - o.BytesOut,
-	}
-}
-
 // NodeMetrics is the cumulative protocol-counter subset the churn brackets
 // need (latest wins).
 type NodeMetrics struct {

@@ -137,6 +137,8 @@ type shard struct {
 	mbox    []event
 	mbMin   int64
 	mbSpare []event
+	// posts counts every mailbox post to this shard, for the quiesce test.
+	posts atomic.Uint64
 
 	// latRnd wraps latSrc: the latency-sampling RNG, re-seeded per draw from
 	// (seed, from, to, per-sender counter) so draws are a pure function of
@@ -330,6 +332,9 @@ func (s *shard) post(ev event) {
 	if ev.at < s.pub.Load() {
 		s.pub.Store(ev.at)
 	}
+	// Counted after the lowering: a quiesce pass that sees the count sees
+	// the lowered position.
+	s.posts.Add(1)
 	s.mbMu.Unlock()
 }
 
@@ -386,17 +391,31 @@ func (s *shard) safeTime() int64 {
 	return m + la
 }
 
-// pubMin returns the minimum published position across all node shards —
-// the span's quiesce test: once it reaches the barrier, no shard holds (or
-// can still receive) an event below it.
-func (n *Network) pubMin() int64 {
-	m := posInf
+// quiesced is the span's termination test: every node shard's published
+// position has reached the barrier, so no shard holds (or can still
+// receive) an event below it. The positions are read one at a time, so a
+// post can lower a position the pass already read while its sender raises
+// its own before the pass reads it; a shard that trusted that pass would
+// leave the span with work below the barrier and its peers spinning on it.
+// Every such post lands between the two post-count sums, so the pass only
+// counts when the sums agree.
+func (n *Network) quiesced(barrier int64) bool {
+	before := n.postCount()
 	for _, s := range n.shards {
-		if v := s.pub.Load(); v < m {
-			m = v
+		if s.pub.Load() < barrier {
+			return false
 		}
 	}
-	return m
+	return n.postCount() == before
+}
+
+// postCount sums the node shards' mailbox post counts.
+func (n *Network) postCount() uint64 {
+	var c uint64
+	for _, s := range n.shards {
+		c += s.posts.Load()
+	}
+	return c
 }
 
 // flushMailboxes drains every shard's residual mailbox into its heap —
@@ -623,7 +642,7 @@ func (s *shard) runLeg(barrier int64) {
 		}
 		if !did {
 			s.updatePub()
-			if n.pubMin() >= barrier {
+			if n.quiesced(barrier) {
 				return
 			}
 			runtime.Gosched()

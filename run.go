@@ -656,15 +656,6 @@ func (rt SimRuntime) Run(ctx context.Context, sc Scenario) (*Report, error) {
 	return c.runScenario(ctx, sc)
 }
 
-// Run executes a scenario on this cluster.
-//
-// Deprecated: use Run(ctx, SimRuntime{Cluster: c}, sc) — the unified
-// entrypoint, which adds context cancellation and run metadata. This
-// wrapper yields the same Report.
-func (c *Cluster) Run(sc Scenario) (*Report, error) {
-	return Run(context.Background(), SimRuntime{Cluster: c}, sc)
-}
-
 // simChunk is the virtual-time slice runScenario advances per context
 // check: cancellation is observed at this granularity.
 const simChunk = time.Second

@@ -5,16 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/monitor"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // DistRuntime runs scenarios across machines: real peer processes spawned by
@@ -61,356 +59,75 @@ const distFlushTimeout = 30 * time.Second
 // process per topology slot (round-robin), bootstrap with a readiness poll,
 // dispatch workloads to the owning agents in wall time, replay the churn
 // script by killing and spawning real remote processes, and fold the
-// monitor stream — behind flush barriers, in sorted agent/node order — into
-// a Report of the same shape the other runtimes produce. Prefer the
+// monitor stream — behind flush barriers, in sorted node order — into a
+// Report of the same shape the other runtimes produce. Prefer the
 // package-level Run, which applies defaults and stamps run metadata.
 func (rt DistRuntime) Run(ctx context.Context, sc Scenario) (*Report, error) {
-	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(rt.Agents) == 0 {
-		return nil, fmt.Errorf("brisa: dist: DistRuntime needs at least one agent address")
-	}
-	// Fail fast on configs that cannot cross a process boundary, before any
-	// remote state exists. Churn joins derive configs at higher indices
-	// later; those panic like the live runtime's derivation does.
-	n := sc.Topology.Nodes
-	for i := 0; i < n; i++ {
-		if _, err := distConfigOf(sc.Topology.configFor(i)); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: node %d: %w", sc.Name, i, err)
+	return execute(ctx, rt.Name(), sc, func(sc Scenario, col *collector) (placement, error) {
+		if len(rt.Agents) == 0 {
+			return nil, fmt.Errorf("DistRuntime needs at least one agent address")
 		}
-	}
-
-	wallStart := time.Now()
-	monAddr := rt.Monitor
-	if monAddr == "" {
-		monAddr = "127.0.0.1:0"
-	}
-	mon, err := monitor.NewCollector(monAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer mon.Close()
-
-	dn := &distNet{
-		sc:      sc,
-		ctx:     ctx,
-		mon:     mon,
-		rng:     rand.New(rand.NewSource(sc.Seed)),
-		protect: make(map[NodeID]bool),
-	}
-	defer dn.shutdown()
-	dialTimeout := rt.DialTimeout
-	if dialTimeout == 0 {
-		dialTimeout = 5 * time.Second
-	}
-	for _, addr := range rt.Agents {
-		a, err := dialAgent(addr, dialTimeout)
+		monAddr := rt.Monitor
+		if monAddr == "" {
+			monAddr = "127.0.0.1:0"
+		}
+		mon, err := monitor.NewCollector(monAddr)
 		if err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: %w", sc.Name, err)
+			return nil, err
 		}
-		dn.agents = append(dn.agents, a)
-	}
-
-	// Spawn phase: one worker process per topology slot, round-robin across
-	// agents in join-index order.
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q aborted: %w", sc.Name, err)
+		p := &agentPlacement{sc: sc, col: col, mon: mon}
+		dialTimeout := rt.DialTimeout
+		if dialTimeout == 0 {
+			dialTimeout = 5 * time.Second
 		}
-		if _, err := dn.spawn(); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: node %d: %w", sc.Name, i, err)
-		}
-	}
-	initial := dn.aliveMembers()
-	if err := mon.WaitFor(ctx, memberIDs(initial), distFlushTimeout); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q: %w", sc.Name, err)
-	}
-
-	// Bootstrap: like the live runtime, every node joins through the first
-	// node plus its predecessor. The worker's join op blocks until the
-	// overlay accepts it.
-	for i := 1; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q aborted: %w", sc.Name, err)
-		}
-		contacts := []string{initial[0].addr}
-		if i > 1 {
-			contacts = append(contacts, initial[i-1].addr)
-		}
-		m := initial[i]
-		resp, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "join", Contacts: contacts, Wait: true})
-		if err == nil && !resp.OK {
-			err = fmt.Errorf("%s", resp.Err)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: node %d join: %w", sc.Name, i, err)
-		}
-	}
-	if n > 1 {
-		settle := sc.Topology.StabilizeTime
-		if settle == 0 {
-			settle = distStabilize
-		}
-		if err := dn.awaitReady(ctx, settle); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: %w", sc.Name, err)
-		}
-	}
-
-	for _, w := range sc.Workloads {
-		dn.protect[initial[w.Source].id] = true
-	}
-	for _, w := range sc.BlobWorkloads {
-		dn.protect[initial[w.Source].id] = true
-	}
-
-	t0 := time.Now()
-	// Traffic baseline: a flush barrier gives every node's precise counters
-	// at dissemination start — bytes before it are the stabilization phase.
-	if sc.probed(ProbeTraffic) {
-		if err := dn.flushBarrier(ctx); err != nil {
-			return nil, fmt.Errorf("brisa: dist %q: baseline: %w", sc.Name, err)
-		}
-		mon.MarkTrafficBase(memberIDs(dn.aliveMembers()))
-	}
-
-	// Churn: replay the script in wall time on a dedicated goroutine,
-	// bracketed by flush-barrier metric snapshots. Fail kills a real remote
-	// process (SIGKILL through its agent); Join spawns a fresh one.
-	var churnDone chan struct{}
-	var churnErr error
-	var before, after map[NodeID]monitor.NodeMetrics
-	if sc.Churn != nil {
-		// Parse errors were caught by Validate; a failure here is a bug.
-		parsed, err := trace.Parse(sc.Churn.Script)
-		if err != nil {
-			panic("brisa: churn script: " + err.Error())
-		}
-		sched := &churnSchedule{}
-		parsed.Replay(sched, dn)
-		sort.SliceStable(sched.events, func(i, j int) bool {
-			return sched.events[i].at < sched.events[j].at
-		})
-		window, _ := sc.Churn.window()
-		anchor := t0.Add(sc.Churn.Start)
-		churnDone = make(chan struct{})
-		go func() {
-			defer close(churnDone)
-			if !sleepUntil(ctx, anchor) {
-				return
+		for _, addr := range rt.Agents {
+			a, err := dialAgent(addr, dialTimeout)
+			if err != nil {
+				p.close(nil)
+				return nil, err
 			}
-			before, churnErr = dn.metricsSnapshot(ctx)
-			for _, ev := range sched.events {
-				if !sleepUntil(ctx, anchor.Add(ev.at)) {
-					return
-				}
-				ev.fn()
-			}
-			if !sleepUntil(ctx, anchor.Add(window)) {
-				return
-			}
-			var err error
-			after, err = dn.metricsSnapshot(ctx)
-			if churnErr == nil {
-				churnErr = err
-			}
-		}()
-	}
-
-	// Workload dispatch: one goroutine per stream, paced in wall time,
-	// publishing through the source's agent. The worker records the publish
-	// instant on its own clock and streams it to the collector.
-	var wg sync.WaitGroup
-	for wi, w := range sc.Workloads {
-		wi, w := wi, w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !sleepFor(ctx, w.Start) {
-				return
-			}
-			src := initial[w.Source]
-			for i := 0; i < w.Messages; i++ {
-				resp, err := src.agent.workerCmd(ctx, src.worker, distWorkerCmd{Op: "publish", WI: wi})
-				if err == nil && !resp.OK {
-					err = fmt.Errorf("%s", resp.Err)
-				}
-				if err != nil {
-					dn.fail(fmt.Errorf("workload %d publish %d: %w", wi, i+1, err))
-					return
-				}
-				if i < w.Messages-1 && !sleepFor(ctx, w.Interval) {
-					return
-				}
-			}
-		}()
-	}
-	for wi, w := range sc.BlobWorkloads {
-		wi, w := wi, w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !sleepFor(ctx, w.Start) {
-				return
-			}
-			src := initial[w.Source]
-			for i := 0; i < w.Blobs; i++ {
-				resp, err := src.agent.workerCmd(ctx, src.worker, distWorkerCmd{Op: "publishblob", WI: wi, Index: i})
-				if err == nil && !resp.OK {
-					err = fmt.Errorf("%s", resp.Err)
-				}
-				if err != nil {
-					dn.fail(fmt.Errorf("blob workload %d publish %d: %w", wi, i+1, err))
-					return
-				}
-				if i < w.Blobs-1 && !sleepFor(ctx, w.Interval) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if churnDone != nil {
-		<-churnDone
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q aborted: %w", sc.Name, err)
-	}
-	if err := dn.err(); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q: %w", sc.Name, err)
-	}
-	if churnErr != nil {
-		return nil, fmt.Errorf("brisa: dist %q: churn bracket: %w", sc.Name, churnErr)
-	}
-
-	// Drain: poll the collector until every alive node delivered every
-	// stream in full, bounded by the drain budget. Unlike the live runtime,
-	// churned-in nodes count too: a workload that starts after the churn
-	// window (the distributed pattern for full-reliability runs) lets them
-	// catch up completely, and a generic scenario just spends the budget —
-	// the same worst case live has.
-	deadline := time.Now().Add(sc.Drain)
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		if dn.complete() {
-			break
+			p.agents = append(p.agents, a)
 		}
-		time.Sleep(livePoll)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q aborted: %w", sc.Name, err)
-	}
-	elapsed := time.Since(t0)
-
-	// Final flush barrier: after it passes, the collector holds every
-	// node's complete measurement stream and end-of-run snapshots.
-	if err := dn.flushBarrier(ctx); err != nil {
-		return nil, fmt.Errorf("brisa: dist %q: final flush: %w", sc.Name, err)
-	}
-
-	rep := &Report{
-		Name:    sc.Name,
-		Runtime: DistRuntime{}.Name(),
-		Nodes:   n,
-		Alive:   len(dn.aliveMembers()),
-		Elapsed: elapsed,
-	}
-	dn.fold(sc, initial, rep, elapsed, before, after)
-	rep.Wall = time.Since(wallStart)
-	return rep, nil
+		return p, nil
+	})
 }
 
-// memberIDs projects members onto their node ids.
-func memberIDs(ms []*distMember) []NodeID {
-	out := make([]NodeID, len(ms))
-	for i, m := range ms {
-		out[i] = m.id
-	}
-	return out
-}
-
-// distNet is the distributed runtime's member set: creation-ordered worker
-// processes across the agents, their liveness, and the churn plumbing —
-// the remote sibling of liveNet.
-type distNet struct {
-	sc  Scenario
-	ctx context.Context
-	mon *monitor.Collector
-
+// agentPlacement places peers as worker processes, round-robin across the
+// agents in join-index order. Workers stream raw measurements to the
+// driver's monitor collector; reads go through flush barriers, and gather
+// folds the delivery samples into the shared collector's accumulators.
+type agentPlacement struct {
+	sc     Scenario
+	col    *collector
+	mon    *monitor.Collector
 	agents []*agentConn
-
-	mu      sync.Mutex
-	rng     *rand.Rand
-	members []*distMember
-	protect map[NodeID]bool
-	token   uint64
-	firstEr error
+	token  atomic.Uint64 // last flush-barrier token
 }
 
-// distMember is one worker-process slot: members keep their slot (and
-// index) after death, like the live runtime's members.
-type distMember struct {
-	index  int
-	agent  *agentConn
-	worker int // agent-assigned worker handle
-	addr   string
-	id     NodeID
-	alive  bool
+func (p *agentPlacement) stabilize() time.Duration { return distStabilize }
+
+// check rejects configs that cannot cross a process boundary.
+func (p *agentPlacement) check(cfg Config) error {
+	_, err := distConfigOf(cfg)
+	return err
 }
 
-func (dn *distNet) fail(err error) {
-	dn.mu.Lock()
-	if dn.firstEr == nil {
-		dn.firstEr = err
-	}
-	dn.mu.Unlock()
-}
-
-func (dn *distNet) err() error {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	return dn.firstEr
-}
-
-func (dn *distNet) nextIndex() int {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	return len(dn.members)
-}
-
-// spawn starts one worker at the next join index on its round-robin agent.
-func (dn *distNet) spawn() (*distMember, error) {
-	idx := dn.nextIndex()
-	cfg := dn.sc.Topology.configFor(idx)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func (p *agentPlacement) spawn(ctx context.Context, idx int, cfg Config) (*member, error) {
 	dc, err := distConfigOf(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return dn.spawnWith(idx, dc)
-}
-
-// spawnWith starts one worker with an already-lowered configuration.
-func (dn *distNet) spawnWith(idx int, dc DistConfig) (*distMember, error) {
-	a := dn.agents[idx%len(dn.agents)]
+	a := p.agents[idx%len(p.agents)]
 	spec := DistWorkerSpec{
 		Agent:         a.addr,
 		Index:         idx,
-		Monitor:       dn.mon.Addr(),
+		Monitor:       p.mon.Addr(),
 		Config:        dc,
-		Workloads:     dn.sc.Workloads,
-		BlobWorkloads: dn.sc.BlobWorkloads,
-		Probes:        dn.sc.Probes,
+		Workloads:     p.sc.Workloads,
+		BlobWorkloads: p.sc.BlobWorkloads,
+		Probes:        p.sc.Probes,
 	}
-	resp, err := a.call(dn.ctx, distCtrlReq{Op: "spawn", Spec: &spec})
-	if err == nil && !resp.OK {
-		err = fmt.Errorf("agent %s: %s", a.addr, resp.Err)
-	}
+	resp, err := a.call(ctx, distCtrlReq{Op: "spawn", Spec: &spec})
 	if err != nil {
 		return nil, err
 	}
@@ -418,429 +135,207 @@ func (dn *distNet) spawnWith(idx int, dc DistConfig) (*distMember, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agent %s: worker node id %q: %w", a.addr, resp.Node, err)
 	}
-	m := &distMember{index: idx, agent: a, worker: resp.Worker, addr: resp.Addr, id: id, alive: true}
-	dn.mu.Lock()
-	dn.members = append(dn.members, m)
-	dn.mu.Unlock()
-	return m, nil
-}
-
-// aliveMembers snapshots the currently alive members in creation order.
-func (dn *distNet) aliveMembers() []*distMember {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	out := make([]*distMember, 0, len(dn.members))
-	for _, m := range dn.members {
-		if m.alive {
-			out = append(out, m)
-		}
+	// The worker says hello to the monitor before it answers the agent.
+	if err := p.mon.WaitFor(ctx, []NodeID{id}, distFlushTimeout); err != nil {
+		return nil, err
 	}
-	return out
+	return &member{id: id, addr: resp.Addr, agent: a, worker: resp.Worker}, nil
 }
 
-// awaitReady polls until every alive worker holds at least one active
-// neighbor, bounded by the given budget.
-func (dn *distNet) awaitReady(ctx context.Context, bound time.Duration) error {
-	deadline := time.Now().Add(bound)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ready := true
-		for _, m := range dn.aliveMembers() {
-			resp, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "ready"})
-			if err != nil || !resp.OK || resp.Neighbors == 0 {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("overlay not connected within %v", bound)
-		}
-		time.Sleep(livePoll)
+// join with wait=false lets the worker bootstrap on its own goroutine, so
+// its command loop keeps serving flush barriers.
+func (p *agentPlacement) join(ctx context.Context, m *member, contacts []string, wait bool) error {
+	_, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "join", Contacts: contacts, Wait: wait})
+	return err
+}
+
+func (p *agentPlacement) neighbors(ctx context.Context, m *member) int {
+	resp, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "ready"})
+	if err != nil {
+		return 0
 	}
+	return resp.Neighbors
 }
 
-// flushBarrier runs one flush round: every alive worker drains its buffers
-// and snapshots onto its monitor connection, then the collector is awaited
+// publish has the source's worker publish and record the instant on its
+// own clock, streamed to the monitor.
+func (p *agentPlacement) publish(ctx context.Context, m *member, wi, i int, blob bool) error {
+	cmd := distWorkerCmd{Op: "publish", WI: wi}
+	if blob {
+		cmd = distWorkerCmd{Op: "publishblob", WI: wi, Index: i}
+	}
+	_, err := m.agent.workerCmd(ctx, m.worker, cmd)
+	return err
+}
+
+// kill SIGKILLs the worker process through its agent. The response races
+// nothing: the victim is already dead to the executor, and the agent reaps
+// the process.
+func (p *agentPlacement) kill(ctx context.Context, m *member) {
+	_, _ = m.agent.call(ctx, distCtrlReq{Op: "kill", Worker: m.worker})
+}
+
+// delivered counts from the monitor's buffered sample stream, at most one
+// worker flush interval stale.
+func (p *agentPlacement) delivered(m *member, wi int, blob bool) int {
+	if blob {
+		return p.mon.BlobDoneCount(m.id, wi)
+	}
+	return p.mon.DeliveredCount(m.id, wi)
+}
+
+// barrier runs one flush round: every listed worker drains its buffers and
+// snapshots onto its monitor connection, then the collector is awaited
 // until it has seen the token from all of them — after which it holds a
-// consistent cut of every node's measurements.
-func (dn *distNet) flushBarrier(ctx context.Context) error {
-	dn.mu.Lock()
-	dn.token++
-	token := dn.token
-	dn.mu.Unlock()
-	members := dn.aliveMembers()
+// consistent cut of their measurements.
+func (p *agentPlacement) barrier(ctx context.Context, ms []*member) error {
+	token := p.token.Add(1)
 	var wg sync.WaitGroup
-	errs := make([]error, len(members))
-	for i, m := range members {
-		i, m := i, m
+	errs := make([]error, len(ms))
+	for i, m := range ms {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "flush", Token: token})
-			if err == nil && !resp.OK {
-				err = fmt.Errorf("%s", resp.Err)
-			}
-			errs[i] = err
+			_, errs[i] = m.agent.workerCmd(ctx, m.worker, distWorkerCmd{Op: "flush", Token: token})
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("flush node %d: %w", members[i].index, err)
+	nodes := make([]NodeID, len(ms))
+	for i, m := range ms {
+		if errs[i] != nil {
+			return fmt.Errorf("flush node %d: %w", m.index, errs[i])
 		}
+		nodes[i] = m.id
 	}
-	return dn.mon.WaitFlush(ctx, token, memberIDs(members), distFlushTimeout)
+	return p.mon.WaitFlush(ctx, token, nodes, distFlushTimeout)
 }
 
-// metricsSnapshot reads every alive node's protocol counters behind a flush
-// barrier — the churn brackets. As on the live runtime, counters of nodes
-// that die afterwards are lost with their process.
-func (dn *distNet) metricsSnapshot(ctx context.Context) (map[NodeID]monitor.NodeMetrics, error) {
-	if err := dn.flushBarrier(ctx); err != nil {
-		return nil, err
-	}
-	alive := dn.aliveMembers()
-	out := make(map[NodeID]monitor.NodeMetrics, len(alive))
-	dn.mon.View(func(nodes map[ids.NodeID]*monitor.NodeState, _ map[int]map[uint32]int64, _ map[int]map[uint32]monitor.BlobPublished) {
-		for _, m := range alive {
-			if ns, ok := nodes[m.id]; ok {
-				out[m.id] = ns.Metrics
+// view runs fn on m's monitor state, if any, under the monitor's lock.
+func (p *agentPlacement) view(m *member, fn func(ns *monitor.NodeState)) {
+	p.mon.View(func(nodes map[ids.NodeID]*monitor.NodeState, _ map[int]map[uint32]int64, _ map[int]map[uint32]monitor.BlobPublished) {
+		if ns := nodes[m.id]; ns != nil {
+			fn(ns)
+		}
+	})
+}
+
+func (p *agentPlacement) metrics(m *member) (out Metrics) {
+	p.view(m, func(ns *monitor.NodeState) {
+		nm := ns.Metrics
+		out = Metrics{ParentsLost: nm.ParentsLost, Orphans: nm.Orphans, SoftRepairs: nm.SoftRepairs, HardRepairs: nm.HardRepairs}
+	})
+	return out
+}
+
+func (p *agentPlacement) traffic(m *member) (out WireTraffic) {
+	p.view(m, func(ns *monitor.NodeState) { out = WireTraffic(ns.Traffic) })
+	return out
+}
+
+func (p *agentPlacement) streamSnap(m *member, wi int) peerSnapshot {
+	snap := peerSnapshot{id: m.id}
+	p.view(m, func(ns *monitor.NodeState) {
+		if st := ns.Streams[wi]; st != nil && st.Snap != nil {
+			ss := st.Snap
+			snap.delivered = ss.Delivered
+			snap.orphan = ss.Orphan
+			snap.parents = ss.Parents
+			snap.depth = int(ss.Depth)
+			snap.depthOK = ss.DepthOK
+			snap.construction = time.Duration(ss.ConstructNanos)
+			snap.constructOK = ss.ConstructOK
+		}
+	})
+	return snap
+}
+
+func (p *agentPlacement) blobStats(m *member, wi int) (out BlobStats) {
+	p.view(m, func(ns *monitor.NodeState) {
+		if st := ns.Blobs[wi]; st != nil && st.Snap != nil {
+			s := st.Snap
+			out = BlobStats{
+				Published:      s.Published,
+				Delivered:      s.Delivered,
+				Dropped:        s.Dropped,
+				ChunksReceived: s.ChunksReceived,
+				ChunkDups:      s.ChunkDups,
+				ChunksPulled:   s.ChunksPulled,
+				ChunksServed:   s.ChunksServed,
+				WantsSent:      s.WantsSent,
+				ChunkBytesSent: s.ChunkBytesSent,
 			}
 		}
 	})
-	return out, nil
+	return out
 }
 
-// complete reports whether every alive node delivered every workload in
-// full — the drain's early exit. Counts come from the collector's buffered
-// sample stream (at most one worker flush interval stale).
-func (dn *distNet) complete() bool {
-	members := dn.aliveMembers()
-	for wi, w := range dn.sc.Workloads {
-		for _, m := range members {
-			if dn.mon.DeliveredCount(m.id, wi) < w.Messages {
-				return false
-			}
-		}
-	}
-	for wi, w := range dn.sc.BlobWorkloads {
-		for _, m := range members {
-			if dn.mon.BlobDoneCount(m.id, wi) < w.Blobs {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// shutdown closes the agent control connections; each agent then kills
-// every worker that connection spawned.
-func (dn *distNet) shutdown() {
-	for _, a := range dn.agents {
-		a.close()
-	}
-}
-
-// Fail implements trace.Target: SIGKILL one random unprotected alive worker
-// process through its agent — a real crash, mid-connection.
-func (dn *distNet) Fail() {
-	dn.mu.Lock()
-	var cands []*distMember
-	for _, m := range dn.members {
-		if m.alive && !dn.protect[m.id] {
-			cands = append(cands, m)
-		}
-	}
-	if len(cands) == 0 {
-		dn.mu.Unlock()
-		return
-	}
-	victim := cands[dn.rng.Intn(len(cands))]
-	victim.alive = false
-	dn.mu.Unlock()
-	// The kill response races nothing: the victim is already off the member
-	// list, and the agent reaps the process.
-	_, _ = victim.agent.call(dn.ctx, distCtrlReq{Op: "kill", Worker: victim.worker})
-}
-
-// Join implements trace.Target: spawn a fresh worker process at the next
-// join index and bootstrap it through up to two random alive members. The
-// worker runs the (bounded) bootstrap on its own goroutine so the churn
-// schedule keeps pace.
-func (dn *distNet) Join() {
-	idx := dn.nextIndex()
-	cfg := dn.sc.Topology.configFor(idx)
-	if err := cfg.Validate(); err != nil {
-		// A replay-time invalid PeerConfig is a bug in the caller's
-		// derivation, as on the other runtimes.
-		panic("brisa: churn join: " + err.Error())
-	}
-	dc, err := distConfigOf(cfg)
-	if err != nil {
-		panic("brisa: churn join: " + err.Error())
-	}
-	m, err := dn.spawnWith(idx, dc)
-	if err != nil {
-		// Spawning can fail under load; like a node that dies during
-		// bootstrap, the join is lost.
-		return
-	}
-	dn.mu.Lock()
-	var contacts []string
-	perm := dn.rng.Perm(len(dn.members))
-	for _, i := range perm {
-		c := dn.members[i]
-		if c.alive && c != m {
-			contacts = append(contacts, c.addr)
-			if len(contacts) == 2 {
-				break
-			}
-		}
-	}
-	dn.mu.Unlock()
-	if len(contacts) == 0 {
-		return
-	}
-	// Wait=false: the worker bootstraps asynchronously. A failed join
-	// leaves the node isolated but alive; Connected surfaces it.
-	_, _ = m.agent.workerCmd(dn.ctx, m.worker, distWorkerCmd{Op: "join", Contacts: contacts})
-}
-
-// Size implements trace.Target.
-func (dn *distNet) Size() int { return len(dn.aliveMembers()) }
-
-// Stop implements trace.Target.
-func (dn *distNet) Stop() {}
-
-// ---------------------------------------------------------------- fold
-
-// fold populates the report from the collector's state: the shared
-// collector structs are filled from the monitor stream and folded by the
-// same streamReport/blobStreamReport code paths the other runtimes use.
-// Survivors are ordered by (agent address, node id) — the sorted host/node
-// discipline that keeps float summation order stable for a given
-// measurement set.
-func (dn *distNet) fold(sc Scenario, initial []*distMember, rep *Report, elapsed time.Duration,
-	before, after map[NodeID]monitor.NodeMetrics) {
-	survivors := dn.aliveMembers()
-	sort.SliceStable(survivors, func(i, j int) bool {
-		if survivors[i].agent.addr != survivors[j].agent.addr {
-			return survivors[i].agent.addr < survivors[j].agent.addr
-		}
-		return survivors[i].id < survivors[j].id
-	})
-	col := newCollector(sc)
-	for wi, w := range sc.Workloads {
-		col.setSource(wi, initial[w.Source].id)
-	}
-	for wi, w := range sc.BlobWorkloads {
-		col.setBlobSource(wi, initial[w.Source].id)
-	}
-	wantRepairs := sc.probed(ProbeRepairs)
-
-	type streamPoll struct {
-		snaps []peerSnapshot
-	}
-	type blobPoll struct {
-		src   BlobStats
-		snaps []blobSnap
-	}
-	streamPolls := make([]streamPoll, len(sc.Workloads))
-	blobPolls := make([]blobPoll, len(sc.BlobWorkloads))
-	var tr *TrafficReport
-
-	dn.mon.View(func(nodes map[ids.NodeID]*monitor.NodeState, pubs map[int]map[uint32]int64, blobs map[int]map[uint32]monitor.BlobPublished) {
-		for wi := range sc.Workloads {
-			ws := col.ws[wi]
+// gather fills the shared collector from the monitor stream: publish
+// instants, blob hashes and sizes, and each survivor's delivery samples,
+// duplicates, blob completions and hard-repair delays land in the same
+// accumulators the in-process collector fills from its listeners.
+func (p *agentPlacement) gather(survivors []*member) {
+	col := p.col
+	p.mon.View(func(nodes map[ids.NodeID]*monitor.NodeState, pubs map[int]map[uint32]int64, blobs map[int]map[uint32]monitor.BlobPublished) {
+		for wi, ws := range col.ws {
 			for seq, at := range pubs[wi] {
 				ws.pubAt[seq] = time.Unix(0, at)
 			}
 			ws.pubs = len(pubs[wi])
-			for _, m := range survivors {
-				ns := nodes[m.id]
-				if ns == nil {
-					continue
-				}
-				st := ns.Streams[wi]
-				if st == nil {
-					st = &monitor.StreamState{}
-				}
-				acc := &nodeAcc{dups: st.Dups}
-				if m.id != ws.source {
-					for _, s := range st.Samples {
-						at := time.Unix(0, s.At)
-						if acc.first.IsZero() {
-							acc.first = at
-						}
-						acc.last = at
-						if int(s.Seq) > ws.w.Warmup {
-							if t0, ok := ws.pubAt[s.Seq]; ok {
-								d := at.Sub(t0).Seconds()
-								acc.record(d)
-								ws.hist.Add(d)
-							}
-						}
-					}
-				}
-				ws.accs[m.id] = acc
-				snap := peerSnapshot{id: m.id}
-				if ss := st.Snap; ss != nil {
-					snap.delivered = ss.Delivered
-					snap.orphan = ss.Orphan
-					snap.parents = ss.Parents
-					snap.depth = int(ss.Depth)
-					snap.depthOK = ss.DepthOK
-					snap.construction = time.Duration(ss.ConstructNanos)
-					snap.constructOK = ss.ConstructOK
-				}
-				streamPolls[wi].snaps = append(streamPolls[wi].snaps, snap)
-			}
 		}
-		for wi := range sc.BlobWorkloads {
-			bs := col.bws[wi]
-			ids := make([]uint32, 0, len(blobs[wi]))
-			for id := range blobs[wi] {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				bp := blobs[wi][id]
+		for wi, bs := range col.bws {
+			for id, bp := range blobs[wi] {
 				bs.hashes[id] = bp.Hash
 				bs.bytes += int64(bp.Size)
 			}
 			bs.pubs = len(blobs[wi])
-			srcID := bs.source
-			for _, m := range survivors {
-				ns := nodes[m.id]
-				if ns == nil {
-					continue
+		}
+		for _, m := range survivors {
+			ns := nodes[m.id]
+			if ns == nil {
+				continue
+			}
+			for wi, ws := range col.ws {
+				acc := &nodeAcc{}
+				ws.accs[m.id] = acc
+				if st := ns.Streams[wi]; st != nil {
+					acc.dups = st.Dups
+					for _, s := range st.Samples {
+						col.delivered(wi, acc, m.id, s.Seq, time.Unix(0, s.At))
+					}
 				}
-				bst := ns.Blobs[wi]
-				if bst == nil {
-					bst = &monitor.BlobState{}
-				}
+			}
+			for wi, bs := range col.bws {
 				acc := &blobAcc{recs: make(map[uint32]blobRec)}
-				for id, done := range bst.Done {
-					lat := time.Duration(done.LatNanos).Seconds()
-					rec := blobRec{hash: done.Hash, lat: lat}
-					if lat > 0 {
-						rec.mbps = float64(done.Bytes) / (1 << 20) / lat
-					}
-					acc.recs[id] = rec
-				}
 				bs.accs[m.id] = acc
-				var st BlobStats
-				if snap := bst.Snap; snap != nil {
-					st = BlobStats{
-						Published:      snap.Published,
-						Delivered:      snap.Delivered,
-						Dropped:        snap.Dropped,
-						ChunksReceived: snap.ChunksReceived,
-						ChunkDups:      snap.ChunkDups,
-						ChunksPulled:   snap.ChunksPulled,
-						ChunksServed:   snap.ChunksServed,
-						WantsSent:      snap.WantsSent,
-						ChunkBytesSent: snap.ChunkBytesSent,
+				if st := ns.Blobs[wi]; st != nil {
+					for id, done := range st.Done {
+						lat := time.Duration(done.LatNanos).Seconds()
+						rec := blobRec{hash: done.Hash, lat: lat}
+						if lat > 0 {
+							rec.mbps = float64(done.Bytes) / (1 << 20) / lat
+						}
+						acc.recs[id] = rec
 					}
 				}
-				if m.id == srcID {
-					blobPolls[wi].src = st
-				}
-				blobPolls[wi].snaps = append(blobPolls[wi].snaps, blobSnap{id: m.id, stats: st})
 			}
-		}
-		if wantRepairs {
-			for _, m := range survivors {
-				ns := nodes[m.id]
-				if ns == nil || len(ns.HardNanos) == 0 {
-					continue
-				}
-				s := &stats.Sample{}
+			if p.sc.probed(ProbeRepairs) && len(ns.HardNanos) > 0 {
+				hard := &stats.Sample{}
 				for _, d := range ns.HardNanos {
-					s.AddDuration(time.Duration(d))
+					hard.AddDuration(time.Duration(d))
 				}
-				col.hard[m.id] = s
-			}
-		}
-		if sc.probed(ProbeTraffic) {
-			tr = &TrafficReport{
-				DownRate: &stats.Sample{},
-				UpRate:   &stats.Sample{},
-				Elapsed:  elapsed,
-			}
-			secs := elapsed.Seconds()
-			var stab, diss uint64
-			counted := 0
-			for _, m := range survivors {
-				if dn.protect[m.id] {
-					continue // workload sources, as in the other folds
-				}
-				ns := nodes[m.id]
-				if ns == nil || !ns.HasTraffic {
-					continue
-				}
-				counted++
-				delta := ns.Traffic.Sub(ns.TrafficBase)
-				stab += ns.TrafficBase.BytesOut
-				diss += delta.BytesOut
-				if secs > 0 {
-					tr.DownRate.Add(float64(delta.BytesIn) / 1024 / secs)
-					tr.UpRate.Add(float64(delta.BytesOut) / 1024 / secs)
-				}
-			}
-			if counted > 0 {
-				tr.StabMB = float64(stab) / float64(counted) / (1 << 20)
-				tr.DissMB = float64(diss) / float64(counted) / (1 << 20)
+				col.hard[m.id] = hard
 			}
 		}
 	})
-
-	for wi := range sc.Workloads {
-		rep.Streams = append(rep.Streams, col.streamReport(wi, streamPolls[wi].snaps))
-	}
-	for wi := range sc.BlobWorkloads {
-		rep.Blobs = append(rep.Blobs, col.blobStreamReport(wi, blobPolls[wi].src, blobPolls[wi].snaps))
-	}
-	if tr != nil {
-		rep.Traffic = tr
-	}
-	if sc.Churn != nil && wantRepairs {
-		window, _ := sc.Churn.window()
-		rep.Churn = distChurnReport(col, window, elapsed, before, after)
-	}
 }
 
-// distChurnReport folds the bracketing metric snapshots into the shared
-// ChurnReport shape, summing per-node deltas in sorted node order.
-func distChurnReport(col *collector, window, elapsed time.Duration, before, after map[NodeID]monitor.NodeMetrics) *ChurnReport {
-	minutes := window.Minutes()
-	if minutes <= 0 {
-		minutes = elapsed.Minutes()
+// close closes the agent control connections — each agent then kills every
+// worker that connection spawned — and the monitor.
+func (p *agentPlacement) close([]*member) {
+	for _, a := range p.agents {
+		a.close()
 	}
-	cr := &ChurnReport{Window: window, HardDelays: col.hardRepairDelays()}
-	var lost, orphans, soft, hardN float64
-	for _, id := range sortedKeys(after) {
-		a := after[id]
-		b := before[id] // zero for nodes spawned after the bracket opened
-		lost += float64(a.ParentsLost - b.ParentsLost)
-		orphans += float64(a.Orphans - b.Orphans)
-		soft += float64(a.SoftRepairs - b.SoftRepairs)
-		hardN += float64(a.HardRepairs - b.HardRepairs)
-	}
-	if minutes > 0 {
-		cr.ParentsLostPerMin = lost / minutes
-		cr.OrphansPerMin = orphans / minutes
-	}
-	if soft+hardN > 0 {
-		cr.SoftPct = 100 * soft / (soft + hardN)
-		cr.HardPct = 100 * hardN / (soft + hardN)
-	}
-	return cr
+	p.mon.Close()
 }
 
 // ---------------------------------------------------------------- agents
@@ -919,7 +414,8 @@ func (a *agentConn) readLoop() {
 	}
 }
 
-// call sends one request and waits for its response.
+// call sends one request and waits for its response; an agent that
+// refuses the request is an error.
 func (a *agentConn) call(ctx context.Context, req distCtrlReq) (distCtrlResp, error) {
 	ch := make(chan distCtrlResp, 1)
 	a.mu.Lock()
@@ -949,8 +445,8 @@ func (a *agentConn) call(ctx context.Context, req distCtrlReq) (distCtrlResp, er
 	}
 	select {
 	case resp := <-ch:
-		if resp.Err != "" && !resp.OK {
-			return resp, nil // protocol-level error, caller inspects
+		if !resp.OK {
+			return resp, fmt.Errorf("agent %s: %s", a.addr, resp.Err)
 		}
 		return resp, nil
 	case <-ctx.Done():
@@ -962,7 +458,8 @@ func (a *agentConn) call(ctx context.Context, req distCtrlReq) (distCtrlResp, er
 }
 
 // workerCmd relays one command to a worker process through its agent and
-// decodes the worker's response.
+// decodes the worker's response; a worker that refuses the command is an
+// error.
 func (a *agentConn) workerCmd(ctx context.Context, worker int, cmd distWorkerCmd) (distWorkerResp, error) {
 	raw, err := json.Marshal(cmd)
 	if err != nil {
@@ -972,12 +469,12 @@ func (a *agentConn) workerCmd(ctx context.Context, worker int, cmd distWorkerCmd
 	if err != nil {
 		return distWorkerResp{}, err
 	}
-	if !resp.OK {
-		return distWorkerResp{}, fmt.Errorf("agent %s: %s", a.addr, resp.Err)
-	}
 	var wr distWorkerResp
 	if err := json.Unmarshal(resp.Resp, &wr); err != nil {
 		return distWorkerResp{}, fmt.Errorf("agent %s: bad worker response: %w", a.addr, err)
+	}
+	if !wr.OK {
+		return wr, fmt.Errorf("%s", wr.Err)
 	}
 	return wr, nil
 }

@@ -2,8 +2,7 @@ package brisa_test
 
 // Unified-runtime tests: the single Run(ctx, rt, sc) entrypoint must
 // execute the same Scenario — churn, traffic probes, per-peer configs — on
-// both runtimes, honor cancellation, and keep the deprecated wrappers
-// report-identical.
+// both runtimes, honor cancellation, and stamp run metadata.
 
 import (
 	"context"
@@ -139,6 +138,9 @@ func TestRunTrafficOnBothRuntimes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Run: %v", name, err)
 		}
+		if rep.GoVersion == "" {
+			t.Errorf("%s: run metadata missing the Go version", name)
+		}
 		if rep.Traffic == nil {
 			t.Fatalf("%s: no traffic report despite ProbeTraffic", name)
 		}
@@ -162,68 +164,46 @@ func TestRunTrafficOnBothRuntimes(t *testing.T) {
 	}
 }
 
-func TestRunWrapperParitySim(t *testing.T) {
-	t.Parallel()
-	sc := twoByTwo(32, 10)
-	old, err := brisa.RunSim(sc)
-	if err != nil {
-		t.Fatalf("RunSim: %v", err)
-	}
-	unified, err := brisa.Run(context.Background(), brisa.SimRuntime{}, sc)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// The simulator is deterministic: the deprecated wrapper and the
-	// unified entrypoint must produce the same report for the same seed.
-	if old.Runtime != unified.Runtime || old.Nodes != unified.Nodes || old.Alive != unified.Alive {
-		t.Errorf("header mismatch: old %s/%d/%d, new %s/%d/%d",
-			old.Runtime, old.Nodes, old.Alive, unified.Runtime, unified.Nodes, unified.Alive)
-	}
-	if old.Elapsed != unified.Elapsed {
-		t.Errorf("elapsed mismatch: %v vs %v", old.Elapsed, unified.Elapsed)
-	}
-	if len(old.Streams) != len(unified.Streams) {
-		t.Fatalf("stream count mismatch: %d vs %d", len(old.Streams), len(unified.Streams))
-	}
-	for i := range old.Streams {
-		a, b := old.Streams[i], unified.Streams[i]
-		if a.Published != b.Published || a.Reliability != b.Reliability || a.Source != b.Source {
-			t.Errorf("stream %d mismatch: %+v vs %+v", a.Stream, a, b)
-		}
-		if a.Delays.Len() != b.Delays.Len() || a.Delays.Median() != b.Delays.Median() {
-			t.Errorf("stream %d delay distribution mismatch", a.Stream)
-		}
-	}
-	if unified.GoVersion == "" || old.GoVersion == "" {
-		t.Error("run metadata missing the Go version")
-	}
-}
-
-func TestRunWrapperParityLive(t *testing.T) {
+// TestLiveDrainWaitsForEarlyJoiners runs TestDistRuntimeAcceptance's shape
+// on live nodes: half-replacement churn, then a workload that starts after
+// the churn window closes. The drain waits for every member spawned before
+// a workload's first publish, so the joiners hold the stream in full, and
+// the early exit still ends the run well before the drain budget.
+func TestLiveDrainWaitsForEarlyJoiners(t *testing.T) {
+	const nodes = 12
+	var spawns atomic.Int64
+	w := brisa.Workload{Stream: 1, Source: 0, Messages: 40, Payload: 256, Interval: 50 * time.Millisecond, Start: 4 * time.Second}
 	sc := brisa.Scenario{
-		Name:     "live parity",
-		Topology: brisa.Topology{Nodes: 4, Peer: brisa.Config{Mode: brisa.ModeTree}},
-		Workloads: []brisa.Workload{
-			{Stream: 1, Messages: 5, Payload: 64, Interval: 20 * time.Millisecond},
+		Name: "live drain",
+		Seed: 7,
+		Topology: brisa.Topology{
+			Nodes: nodes,
+			PeerConfig: func(int) brisa.Config {
+				spawns.Add(1)
+				return brisa.Config{Mode: brisa.ModeTree, ViewSize: 4}
+			},
 		},
-		Drain: 5 * time.Second,
+		Workloads: []brisa.Workload{w},
+		Churn: &brisa.Churn{
+			Script: "at 0s set replacement ratio to 50%\nfrom 0s to 1s const churn 20% each 1s",
+			Start:  time.Second,
+		},
+		Drain: 20 * time.Second,
 	}
-	old, err := brisa.RunLive(sc)
-	if err != nil {
-		t.Fatalf("RunLive: %v", err)
-	}
-	unified, err := brisa.Run(context.Background(), brisa.LiveRuntime{}, sc)
+	rep, err := brisa.Run(context.Background(), brisa.LiveRuntime{}, sc)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// Real sockets are not replayable; the wrappers must agree on shape.
-	for _, rep := range []*brisa.Report{old, unified} {
-		if rep.Runtime != "live" || rep.Nodes != 4 || len(rep.Streams) != 1 {
-			t.Errorf("report shape off: runtime=%q nodes=%d streams=%d", rep.Runtime, rep.Nodes, len(rep.Streams))
-		}
-		if rep.Stream(1).Reliability != 1 {
-			t.Errorf("reliability %.3f, want 1.0", rep.Stream(1).Reliability)
-		}
+	if spawns.Load() <= nodes || rep.Alive >= nodes {
+		t.Fatalf("spawned %d, alive %d: churn joins or kills missing", spawns.Load(), rep.Alive)
+	}
+	if s := rep.Stream(1); s.Published != w.Messages || s.Reliability != 1 {
+		t.Errorf("published %d, reliability %.3f, want %d and 1 (joiners counted in the drain)",
+			s.Published, s.Reliability, w.Messages)
+	}
+	budget := w.Start + time.Duration(w.Messages)*w.Interval + sc.Drain
+	if rep.Elapsed >= budget {
+		t.Errorf("elapsed %v, want < %v: the drain's early exit never fired", rep.Elapsed, budget)
 	}
 }
 

@@ -1,7 +1,6 @@
 package brisa
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -418,13 +417,4 @@ func (sc Scenario) NewCluster() (*Cluster, error) {
 	cfg := sc.Topology.clusterConfig(sc.Seed)
 	cfg.Faults = sc.Faults
 	return NewCluster(cfg)
-}
-
-// RunSim executes the scenario on a fresh simulated cluster.
-//
-// Deprecated: use Run(ctx, SimRuntime{}, sc) — the unified entrypoint,
-// which adds context cancellation and run metadata. This wrapper yields the
-// same Report.
-func RunSim(sc Scenario) (*Report, error) {
-	return Run(context.Background(), SimRuntime{}, sc)
 }
