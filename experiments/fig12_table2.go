@@ -19,8 +19,7 @@ func RunFigure12(scale Scale, seed int64) TableResult {
 	}}
 	for _, kb := range []int{0, 1, 10, 20} {
 		for _, sys := range systemRunners() {
-			res := sys.run(sysParams{Nodes: nodes, Msgs: msgs, Payload: kb * 1024, Seed: seed,
-				Proc: simnet.LogNormalDelay(3*time.Millisecond, 1.0)})
+			res := sys.run(figure12Params(scale, seed, kb))
 			t.AddRow(
 				sys.name,
 				fmt.Sprintf("%d KB", kb),
@@ -49,8 +48,7 @@ func RunTable2(scale Scale, seed int64) TableResult {
 	t := &stats.Table{Header: []string{"protocol", "latency (s)", "overhead", "mean delay (ms)", "completeness"}}
 	var baseline float64
 	for _, sys := range systemRunners() {
-		res := sys.run(sysParams{Nodes: nodes, Msgs: msgs, Payload: 1024, Seed: seed,
-			Proc: simnet.LogNormalDelay(8*time.Millisecond, 1.0)})
+		res := sys.run(table2Params(scale, seed))
 		secs := res.Latency.Seconds()
 		if sys.name == "SimpleTree" {
 			baseline = secs
@@ -72,4 +70,17 @@ func RunTable2(scale Scale, seed int64) TableResult {
 			nodes, msgs, float64(msgs-1)*MessageInterval.Seconds()),
 		Table: t,
 	}
+}
+
+// figure12Params is Figure 12's workload for one payload size, in KB.
+func figure12Params(scale Scale, seed int64, kb int) sysParams {
+	return sysParams{Nodes: scale.apply(512, 64), Msgs: scale.apply(500, 50), Payload: kb * 1024, Seed: seed,
+		Proc: simnet.LogNormalDelay(3*time.Millisecond, 1.0)}
+}
+
+// table2Params is Table II's workload: 1 KB messages under heavier
+// per-message service times than Figure 12.
+func table2Params(scale Scale, seed int64) sysParams {
+	return sysParams{Nodes: scale.apply(512, 64), Msgs: scale.apply(500, 50), Payload: 1024, Seed: seed,
+		Proc: simnet.LogNormalDelay(8*time.Millisecond, 1.0)}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	brisa "repro"
@@ -43,25 +44,11 @@ func RunFigure13(scale Scale, seed int64) FigureResult {
 		})
 		return rep.Stream(Stream).Construction
 	}
-	tagRun := func(nodes int, latency simnet.LatencyModel) *brisa.Dist {
-		tc := newTagCluster(nodes, seed, latency, func(self ids.NodeID) tagproto.Config {
-			return tagproto.Config{}
-		})
-		tc.stabilize(nodes)
-		s := &brisa.Dist{}
-		for _, p := range tc.peers[1:] {
-			if d, ok := p.SettleTime(); ok {
-				s.AddDuration(d)
-			}
-		}
-		return s
-	}
-
 	result.Series = append(result.Series,
 		Series{Name: "Brisa, cluster", Points: brisaRun(clusterNodes, brisa.ClusterLatency()).CDF(24)},
-		Series{Name: "Tag, cluster", Points: tagRun(clusterNodes, simnet.Cluster()).CDF(24)},
+		Series{Name: "Tag, cluster", Points: tagSettleTimes(clusterNodes, seed, simnet.Cluster()).CDF(24)},
 		Series{Name: "Brisa, PlanetLab", Points: brisaRun(plNodes, brisa.PlanetLab()).CDF(24)},
-		Series{Name: "Tag, PlanetLab", Points: tagRun(plNodes, simnet.PlanetLab()).CDF(24)},
+		Series{Name: "Tag, PlanetLab", Points: tagSettleTimes(plNodes, seed, simnet.PlanetLab()).CDF(24)},
 	)
 	return result
 }
@@ -71,10 +58,7 @@ func RunFigure13(scale Scale, seed int64) FigureResult {
 // view size 4, BRISA tree vs TAG.
 func RunFigure14(scale Scale, seed int64) FigureResult {
 	nodes := scale.apply(128, 48)
-	window := time.Duration(float64(10*time.Minute) * float64(scale))
-	if window < 2*time.Minute {
-		window = 2 * time.Minute
-	}
+	window := figure14Window(scale)
 	result := FigureResult{
 		Name: "Figure 14 — parent recovery delays (hard repairs)",
 		Notes: fmt.Sprintf("nodes=%d, view 4, 3%%/min churn for %v (paper: 128, 10 min)",
@@ -89,14 +73,57 @@ func RunFigure14(scale Scale, seed int64) FigureResult {
 		Points: brisaOut.HardDelays.CDF(24),
 	})
 
+	tagHard, _ := tagRepairDelays(nodes, seed, window)
+	result.Series = append(result.Series, Series{
+		Name:   "TAG",
+		Points: tagHard.CDF(24),
+	})
+	return result
+}
+
+// figure14Window is how long Figure 14's churn runs: the paper's 10 min,
+// scaled, but at least 2 min so a few churn rounds happen.
+func figure14Window(scale Scale) time.Duration {
+	window := time.Duration(float64(10*time.Minute) * float64(scale))
+	if window < 2*time.Minute {
+		window = 2 * time.Minute
+	}
+	return window
+}
+
+// tagSettleTimes is TAG's Figure 13 metric: each joiner's list-settle time
+// on a freshly built and stabilized n-node deployment.
+func tagSettleTimes(nodes int, seed int64, latency simnet.LatencyModel) *brisa.Dist {
+	tc := newTagCluster(nodes, seed, latency, func(self ids.NodeID) tagproto.Config {
+		return tagproto.Config{}
+	})
+	tc.stabilize(nodes)
+	s := &brisa.Dist{}
+	for _, p := range tc.peers[1:] {
+		if d, ok := p.SettleTime(); ok {
+			s.AddDuration(d)
+		}
+	}
+	return s
+}
+
+// tagRepairDelays measures TAG's parent recovery delays under 3%/min churn
+// over window, split into hard repairs (Figure 14's metric) and soft ones.
+// OnRepair runs on simulator shard goroutines, hence the lock.
+func tagRepairDelays(nodes int, seed int64, window time.Duration) (hard, soft *brisa.Dist) {
 	// TAG: same churn shape on a TAG cluster; hard repairs are re-insertions
 	// through the source after the list broke.
-	tagDelays := &brisa.Dist{}
+	hard, soft = &brisa.Dist{}, &brisa.Dist{}
+	var mu sync.Mutex
 	tc := newTagCluster(nodes, seed, simnet.Cluster(), func(self ids.NodeID) tagproto.Config {
 		return tagproto.Config{
-			OnRepair: func(hard bool, d time.Duration) {
-				if hard {
-					tagDelays.AddDuration(d)
+			OnRepair: func(isHard bool, d time.Duration) {
+				mu.Lock()
+				defer mu.Unlock()
+				if isHard {
+					hard.AddDuration(d)
+				} else {
+					soft.AddDuration(d)
 				}
 			},
 		}
@@ -123,9 +150,5 @@ func RunFigure14(scale Scale, seed int64) FigureResult {
 		})
 	}
 	tc.net.RunFor(window + 30*time.Second)
-	result.Series = append(result.Series, Series{
-		Name:   "TAG",
-		Points: tagDelays.CDF(24),
-	})
-	return result
+	return hard, soft
 }
