@@ -2,7 +2,8 @@
 // go/analysis-style passes (maporder, unseededmap, walltime, globalrand)
 // that mechanically enforce the worker-count-invariance contract over the
 // deterministic packages (internal/core, internal/simnet,
-// internal/hyparview, internal/cyclon, internal/stats).
+// internal/hyparview, internal/cyclon, internal/stats, internal/baselines
+// and its simpletree, simplegossip and tag subpackages, and experiments).
 //
 // Usage:
 //

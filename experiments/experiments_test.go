@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	brisa "repro"
 )
@@ -299,5 +301,37 @@ func TestFaultSweepShapeReliabilityHolds(t *testing.T) {
 			t.Errorf("injected losses should grow with the loss rate: %v then %v", prevLost, lost)
 		}
 		prevLost = lost
+	}
+}
+
+// TestFigure6Deterministic reruns one Figure 6 configuration: the depth
+// histogram must not depend on map iteration order, which decides which
+// nodes get a depth when the captured parent links hold a cycle.
+func TestFigure6Deterministic(t *testing.T) {
+	t.Parallel()
+	first := RunFigure6(0.05, 5).String()
+	for i := 0; i < 2; i++ {
+		if got := RunFigure6(0.05, 5).String(); got != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i+1, got, first)
+		}
+	}
+}
+
+// TestBaselineRunsReleaseWorkers runs the experiments that hold baseline
+// systems and checks that no simulator worker goroutine outlives them. It is
+// not parallel, because it counts the process's goroutines; the workers exit
+// asynchronously once their network closes, hence the polling.
+func TestBaselineRunsReleaseWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	RunTable2(0.05, 7)
+	RunFigure12(0.05, 7)
+	RunFigure13(0.05, 7)
+	RunFigure14(0.05, 7)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the runs, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

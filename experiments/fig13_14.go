@@ -7,7 +7,6 @@ import (
 
 	brisa "repro"
 	tagproto "repro/internal/baselines/tag"
-	"repro/internal/ids"
 	"repro/internal/simnet"
 )
 
@@ -94,12 +93,11 @@ func figure14Window(scale Scale) time.Duration {
 // tagSettleTimes is TAG's Figure 13 metric: each joiner's list-settle time
 // on a freshly built and stabilized n-node deployment.
 func tagSettleTimes(nodes int, seed int64, latency simnet.LatencyModel) *brisa.Dist {
-	tc := newTagCluster(nodes, seed, latency, func(self ids.NodeID) tagproto.Config {
-		return tagproto.Config{}
-	})
-	tc.stabilize(nodes)
+	h := newHarness(tagSystem(tagproto.Config{}), sysParams{Nodes: nodes, Seed: seed, Latency: latency})
+	defer h.net.Close()
+	h.stabilize()
 	s := &brisa.Dist{}
-	for _, p := range tc.peers[1:] {
+	for _, p := range h.peers[1:] {
 		if d, ok := p.SettleTime(); ok {
 			s.AddDuration(d)
 		}
@@ -108,47 +106,46 @@ func tagSettleTimes(nodes int, seed int64, latency simnet.LatencyModel) *brisa.D
 }
 
 // tagRepairDelays measures TAG's parent recovery delays under 3%/min churn
-// over window, split into hard repairs (Figure 14's metric) and soft ones.
-// OnRepair runs on simulator shard goroutines, hence the lock.
+// over window, split into hard repairs (Figure 14's metric: re-insertions
+// through the source after the list broke) and soft ones. OnRepair runs on
+// simulator shard goroutines, hence the lock.
 func tagRepairDelays(nodes int, seed int64, window time.Duration) (hard, soft *brisa.Dist) {
-	// TAG: same churn shape on a TAG cluster; hard repairs are re-insertions
-	// through the source after the list broke.
 	hard, soft = &brisa.Dist{}, &brisa.Dist{}
 	var mu sync.Mutex
-	tc := newTagCluster(nodes, seed, simnet.Cluster(), func(self ids.NodeID) tagproto.Config {
-		return tagproto.Config{
-			OnRepair: func(isHard bool, d time.Duration) {
-				mu.Lock()
-				defer mu.Unlock()
-				if isHard {
-					hard.AddDuration(d)
-				} else {
-					soft.AddDuration(d)
-				}
-			},
-		}
-	})
-	tc.stabilize(nodes)
-	// Continuous stream so pulls keep flowing.
-	total := int(window/MessageInterval) + 100
-	for i := 0; i < total; i++ {
-		i := i
-		tc.net.After(time.Duration(i)*MessageInterval, func() {
-			tc.peers[0].Publish(Stream, make([]byte, 1024))
-		})
-	}
-	// Churn: every 60s, fail 3% and join 3%.
+	h := newHarness(tagSystem(tagproto.Config{
+		OnRepair: func(isHard bool, d time.Duration) {
+			mu.Lock()
+			defer mu.Unlock()
+			if isHard {
+				hard.AddDuration(d)
+			} else {
+				soft.AddDuration(d)
+			}
+		},
+	}), sysParams{Nodes: nodes, Seed: seed, Latency: simnet.Cluster()})
+	defer h.net.Close()
+	h.stabilize()
+	// A continuous stream keeps pulls flowing.
+	h.publish(int(window/MessageInterval)+100, 1024)
+	// Churn: every 60s, fail 3% and join 3%. A victim is any alive node but
+	// the source, which is never crashed and so always listed first; a
+	// joiner starts its walk right after its Start event, unless churn
+	// killed it first.
 	for at := time.Duration(0); at < window; at += time.Minute {
-		at := at
-		tc.net.After(at, func() {
-			n := len(tc.net.NodeIDs())
-			k := int(float64(n)*0.03 + 0.5)
-			for i := 0; i < k; i++ {
-				tc.crashRandom()
-				tc.joinNew()
+		h.net.After(at, func() {
+			k := int(float64(len(h.net.NodeIDs()))*0.03 + 0.5)
+			for range k {
+				victims := h.net.NodeIDs()[1:]
+				h.net.Crash(victims[h.net.Rand().Intn(len(victims))])
+				id, p := h.add()
+				h.net.After(0, func() {
+					if h.net.Alive(id) {
+						p.Join()
+					}
+				})
 			}
 		})
 	}
-	tc.net.RunFor(window + 30*time.Second)
+	h.net.RunFor(window + 30*time.Second)
 	return hard, soft
 }

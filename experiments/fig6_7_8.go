@@ -114,6 +114,7 @@ func RunFigure8(scale Scale, seed int64) Figure8Result {
 		rep := mustRun(structureScenario(nodes, seed, brisa.ModeTree, view, 1))
 		s := rep.Stream(Stream)
 		var edges []viz.Edge
+		//brisa:orderinvariant viz.DOT sorts the edges in place, before TreeStats reads them
 		for child, parents := range s.Parents {
 			for _, par := range parents {
 				edges = append(edges, viz.Edge{Parent: par, Child: child})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/baselines/simpletree"
 	"repro/internal/baselines/tag"
 	"repro/internal/ids"
+	"repro/internal/node"
 	"repro/internal/simnet"
 )
 
@@ -42,27 +43,24 @@ type sysResult struct {
 	Delivered uint64
 }
 
-// deliveryTracker records first/last delivery instants per node plus the
-// per-message delivery delay relative to publish time. record runs on
-// scheduler shard goroutines (the simulator defaults to one shard per CPU),
-// so the maps are mutex-guarded, and each delivery is stamped with the
-// delivering node's own clock: the network's driver clock only advances at
-// shard barriers, so reading it from a shard goroutine gives stale,
-// worker-count-dependent instants.
+// deliveryTracker records the first and last delivery instant per node and
+// the summed publish-to-delivery delay. record runs on scheduler shard
+// goroutines (the simulator defaults to one shard per CPU), so the maps are
+// mutex-guarded, and each delivery is stamped with the delivering node's own
+// clock: the network's driver clock only advances at shard barriers, so
+// reading it from a shard goroutine gives stale, worker-count-dependent
+// instants.
 type deliveryTracker struct {
 	mu          sync.Mutex
 	first, last map[ids.NodeID]time.Time
-	count       map[ids.NodeID]int
 	pubAt       map[uint32]time.Time
 	delaySum    time.Duration
-	delayN      int
 }
 
 func newDeliveryTracker() *deliveryTracker {
 	return &deliveryTracker{
 		first: make(map[ids.NodeID]time.Time),
 		last:  make(map[ids.NodeID]time.Time),
-		count: make(map[ids.NodeID]int),
 		pubAt: make(map[uint32]time.Time),
 	}
 }
@@ -76,6 +74,8 @@ func (d *deliveryTracker) published(seq uint32, t time.Time) {
 }
 
 // record books one delivery at instant t of the delivering node's clock.
+// The driver books each publish before any node can receive it, so pubAt
+// has seq.
 func (d *deliveryTracker) record(id ids.NodeID, seq uint32, t time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -83,44 +83,7 @@ func (d *deliveryTracker) record(id ids.NodeID, seq uint32, t time.Time) {
 		d.first[id] = t
 	}
 	d.last[id] = t
-	d.count[id]++
-	if t0, ok := d.pubAt[seq]; ok {
-		d.delaySum += t.Sub(t0)
-		d.delayN++
-	}
-}
-
-// meanDelay is the average publish-to-delivery delay across all deliveries.
-func (d *deliveryTracker) meanDelay() time.Duration {
-	if d.delayN == 0 {
-		return 0
-	}
-	return d.delaySum / time.Duration(d.delayN)
-}
-
-func (d *deliveryTracker) results(nodes []ids.NodeID, msgs int) (lat time.Duration, completeness float64, total uint64) {
-	var sum time.Duration
-	counted := 0
-	complete := 0
-	for _, id := range nodes {
-		total += uint64(d.count[id])
-		if d.count[id] == msgs {
-			complete++
-		}
-		f, ok1 := d.first[id]
-		l, ok2 := d.last[id]
-		if ok1 && ok2 && d.count[id] > 1 {
-			sum += l.Sub(f)
-			counted++
-		}
-	}
-	if counted > 0 {
-		lat = sum / time.Duration(counted)
-	}
-	if len(nodes) > 0 {
-		completeness = float64(complete) / float64(len(nodes))
-	}
-	return lat, completeness, total
+	d.delaySum += t.Sub(d.pubAt[seq])
 }
 
 // phaseMB averages per-node sent bytes for a phase, in MB.
@@ -135,8 +98,6 @@ func phaseMB(net *simnet.Network, nodes []ids.NodeID, phase simnet.Phase) float6
 	}
 	return float64(total) / float64(len(nodes)) / (1 << 20)
 }
-
-// ------------------------------------------------------------------ BRISA
 
 // runSystemBrisa runs the shared §III-D workload through the declarative
 // scenario runner: the traffic probe yields the per-phase byte averages and
@@ -169,219 +130,176 @@ func runSystemBrisa(p sysParams) sysResult {
 	}
 }
 
-func nonSource(all []ids.NodeID, source ids.NodeID) []ids.NodeID {
-	out := make([]ids.NodeID, 0, len(all))
-	for _, id := range all {
-		if id != source {
-			out = append(out, id)
-		}
-	}
-	return out
+// baselinePeer is what the harness needs of a baseline system's peer.
+type baselinePeer interface {
+	Handler() node.Handler
+	Publish(brisa.StreamID, []byte) uint32
+	DeliveredCount(brisa.StreamID) uint64
+	// Now is the peer's own clock, read in its delivery hook.
+	Now() time.Time
 }
 
-// -------------------------------------------------------------- SimpleTree
-
-func runSystemSimpleTree(p sysParams) sysResult {
-	net := simnet.New(simnet.Options{Seed: p.Seed, Latency: p.Latency, ProcessingDelay: p.Proc})
-	tr := newDeliveryTracker()
-	coord := ids.NodeID(1)
-	peers := make([]*simpletree.Peer, p.Nodes)
-	for i := 0; i < p.Nodes; i++ {
-		self := ids.NodeID(i + 1)
-		var peer *simpletree.Peer
-		peer = simpletree.New(self, coord, func(_ brisa.StreamID, seq uint32, _ []byte) {
-			tr.record(self, seq, peer.Now())
-		})
-		peers[i] = peer
-		net.AddNode(self, peer.Handler())
-	}
-	for i := 1; i < p.Nodes; i++ {
-		i := i
-		net.At(time.Duration(i)*50*time.Millisecond, func() { peers[i].Join() })
-	}
-	net.RunUntil(time.Duration(p.Nodes)*50*time.Millisecond + 10*time.Second)
-	net.SetPhase(simnet.PhaseDissemination)
-	for i := 0; i < p.Msgs; i++ {
-		i := i
-		net.After(time.Duration(i)*MessageInterval, func() {
-			seq := peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq, net.Now())
-		})
-	}
-	net.RunFor(time.Duration(p.Msgs)*MessageInterval + 20*time.Second)
-
-	nodes := nonSource(net.NodeIDs(), coord)
-	res := sysResult{
-		StabMB: phaseMB(net, nodes, simnet.PhaseStabilization),
-		DissMB: phaseMB(net, nodes, simnet.PhaseDissemination),
-	}
-	res.Latency, res.Completeness, res.Delivered = tr.results(nodes, p.Msgs)
-	res.MeanDelay = tr.meanDelay()
-	return res
+// baseline states one §III-D baseline system as data for the harness.
+type baseline[P baselinePeer] struct {
+	// newPeer builds the peer with id self, which must call deliver for
+	// each new delivery.
+	newPeer func(self ids.NodeID, deliver func(brisa.StreamID, uint32, []byte)) P
+	// join starts the join of peer i (i ≥ 1), given the network's driver
+	// random stream at join time.
+	join func(p P, i int, rng *rand.Rand)
+	// spacing separates successive joins; settle runs after the last one.
+	spacing, settle time.Duration
+	// drain is how long to run after the last of msgs publishes.
+	drain func(msgs int) time.Duration
+	// allDissemination books all traffic as dissemination.
+	allDissemination bool
 }
 
-// ------------------------------------------------------------ SimpleGossip
-
-func runSystemSimpleGossip(p sysParams) sysResult {
-	net := simnet.New(simnet.Options{Seed: p.Seed, Latency: p.Latency, ProcessingDelay: p.Proc})
-	tr := newDeliveryTracker()
-	peers := make([]*simplegossip.Peer, p.Nodes)
-	for i := 0; i < p.Nodes; i++ {
-		self := ids.NodeID(i + 1)
-		var peer *simplegossip.Peer
-		peer = simplegossip.New(simplegossip.Config{
-			Fanout:            simplegossip.FanoutFor(p.Nodes),
-			AntiEntropyPeriod: MessageInterval / 2, // double the creation frequency
-			OnDeliver:         func(_ brisa.StreamID, seq uint32, _ []byte) { tr.record(self, seq, peer.Now()) },
-		})
-		peers[i] = peer
-		net.AddNode(self, peer.Handler())
-	}
-	for i := 1; i < p.Nodes; i++ {
-		i := i
-		net.At(time.Duration(i)*50*time.Millisecond, func() {
-			peers[i].Join(ids.NodeID(net.Rand().Intn(i) + 1))
-		})
-	}
-	net.RunUntil(time.Duration(p.Nodes)*50*time.Millisecond + 20*time.Second)
-	net.SetPhase(simnet.PhaseDissemination)
-	for i := 0; i < p.Msgs; i++ {
-		i := i
-		net.After(time.Duration(i)*MessageInterval, func() {
-			seq := peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq, net.Now())
-		})
-	}
-	net.RunFor(time.Duration(p.Msgs)*MessageInterval + 30*time.Second)
-
-	nodes := nonSource(net.NodeIDs(), ids.NodeID(1))
-	// The paper books all SimpleGossip traffic under dissemination, since
-	// the protocol builds no structure.
-	res := sysResult{
-		StabMB: 0,
-		DissMB: phaseMB(net, nodes, simnet.PhaseStabilization) + phaseMB(net, nodes, simnet.PhaseDissemination),
-	}
-	res.Latency, res.Completeness, res.Delivered = tr.results(nodes, p.Msgs)
-	res.MeanDelay = tr.meanDelay()
-	return res
+// harness is one simulated deployment of a baseline system: peers[i] is
+// node i+1, and node 1 is the source.
+type harness[P baselinePeer] struct {
+	sys   baseline[P]
+	net   *simnet.Network
+	peers []P
+	tr    *deliveryTracker
 }
 
-// --------------------------------------------------------------------- TAG
-
-// tagCluster builds a TAG deployment and returns its pieces for reuse by
-// several experiments.
-type tagCluster struct {
-	net    *simnet.Network
-	peers  []*tag.Peer
-	byID   map[ids.NodeID]*tag.Peer
-	source ids.NodeID
-	nextID uint64
-	mkCfg  func(self ids.NodeID) tag.Config
-}
-
-// newTagCluster builds n TAG peers; mkCfg derives each peer's config (the
-// Source field is filled in automatically). Joins are scheduled
-// sequentially — TAG's list is ordered by join time.
-func newTagCluster(n int, seed int64, latency simnet.LatencyModel, mkCfg func(self ids.NodeID) tag.Config) *tagCluster {
-	return newTagClusterProc(n, seed, latency, nil, mkCfg)
-}
-
-func newTagClusterProc(n int, seed int64, latency simnet.LatencyModel, proc func(*rand.Rand) time.Duration, mkCfg func(self ids.NodeID) tag.Config) *tagCluster {
-	tc := &tagCluster{
-		net:    simnet.New(simnet.Options{Seed: seed, Latency: latency, ProcessingDelay: proc}),
-		byID:   make(map[ids.NodeID]*tag.Peer),
-		source: ids.NodeID(1),
-		mkCfg:  mkCfg,
+// newHarness builds the network, adds p.Nodes peers and schedules their
+// joins. The caller closes h.net.
+func newHarness[P baselinePeer](sys baseline[P], p sysParams) *harness[P] {
+	h := &harness[P]{
+		sys: sys,
+		net: simnet.New(simnet.Options{Seed: p.Seed, Latency: p.Latency, ProcessingDelay: p.Proc}),
+		tr:  newDeliveryTracker(),
 	}
-	for i := 0; i < n; i++ {
-		tc.addPeer()
+	for range p.Nodes {
+		h.add()
 	}
-	for i := 1; i < n; i++ {
-		i := i
-		tc.net.At(time.Duration(i)*100*time.Millisecond, func() { tc.peers[i].Join() })
+	for i, peer := range h.peers[1:] {
+		h.net.At(time.Duration(i+1)*sys.spacing, func() { sys.join(peer, i+1, h.net.Rand()) })
 	}
-	return tc
+	return h
 }
 
-func (tc *tagCluster) addPeer() *tag.Peer {
-	tc.nextID++
-	self := ids.NodeID(tc.nextID)
-	cfg := tc.mkCfg(self)
-	cfg.Source = tc.source
-	p := tag.New(self, cfg)
-	tc.peers = append(tc.peers, p)
-	tc.byID[self] = p
-	tc.net.AddNode(self, p.Handler())
-	return p
-}
-
-// joinNew adds a fresh peer mid-run (churn). The join runs right after the
-// new node's Start event, unless churn killed the newborn first.
-func (tc *tagCluster) joinNew() {
-	p := tc.addPeer()
-	id := ids.NodeID(tc.nextID)
-	tc.net.After(0, func() {
-		if tc.net.Alive(id) {
-			p.Join()
-		}
+// add builds the next peer and adds it to the network.
+func (h *harness[P]) add() (ids.NodeID, P) {
+	self := ids.NodeID(len(h.peers) + 1)
+	var peer P
+	peer = h.sys.newPeer(self, func(_ brisa.StreamID, seq uint32, _ []byte) {
+		h.tr.record(self, seq, peer.Now())
 	})
+	h.peers = append(h.peers, peer)
+	h.net.AddNode(self, peer.Handler())
+	return self, peer
 }
 
-// crashRandom kills one alive non-source node.
-func (tc *tagCluster) crashRandom() {
-	alive := tc.net.NodeIDs()
-	candidates := alive[:0]
-	for _, id := range alive {
-		if id != tc.source {
-			candidates = append(candidates, id)
-		}
-	}
-	if len(candidates) == 0 {
-		return
-	}
-	tc.net.Crash(candidates[tc.net.Rand().Intn(len(candidates))])
+// stabilize runs until the settle period after the last join is over.
+func (h *harness[P]) stabilize() {
+	h.net.RunUntil(time.Duration(len(h.peers))*h.sys.spacing + h.sys.settle)
 }
 
-func (tc *tagCluster) stabilize(n int) {
-	tc.net.RunUntil(time.Duration(n)*100*time.Millisecond + 15*time.Second)
-}
-
-func runSystemTAG(p sysParams) sysResult {
-	tr := newDeliveryTracker()
-	// byID is complete before the first delivery and never written after
-	// (this run has no churn), so shard goroutines may read it.
-	var tc *tagCluster
-	tc = newTagClusterProc(p.Nodes, p.Seed, p.Latency, p.Proc, func(self ids.NodeID) tag.Config {
-		return tag.Config{
-			PullPeriod:      400 * time.Millisecond,
-			MaxItemsPerPull: 1,
-			OnDeliver: func(_ brisa.StreamID, seq uint32, _ []byte) {
-				tr.record(self, seq, tc.byID[self].Now())
-			},
-		}
-	})
-	tc.stabilize(p.Nodes)
-	tc.net.SetPhase(simnet.PhaseDissemination)
-	for i := 0; i < p.Msgs; i++ {
-		i := i
-		tc.net.After(time.Duration(i)*MessageInterval, func() {
-			seq := tc.peers[0].Publish(Stream, make([]byte, p.Payload))
-			tr.published(seq, tc.net.Now())
+// publish paces msgs messages of payload bytes from node 1 at the paper's
+// rate, starting now.
+func (h *harness[P]) publish(msgs, payload int) {
+	for i := range msgs {
+		h.net.After(time.Duration(i)*MessageInterval, func() {
+			seq := h.peers[0].Publish(Stream, make([]byte, payload))
+			h.tr.published(seq, h.net.Now())
 		})
 	}
-	// TAG's one-item pulls drain slower than the injection rate; allow the
-	// backlog to flush (the Table II effect).
-	drain := time.Duration(p.Msgs)*400*time.Millisecond + 60*time.Second
-	tc.net.RunFor(time.Duration(p.Msgs)*MessageInterval + drain)
+}
 
-	nodes := nonSource(tc.net.NodeIDs(), tc.source)
+// runBaseline runs the shared §III-D workload on one baseline system.
+func runBaseline[P baselinePeer](sys baseline[P], p sysParams) sysResult {
+	h := newHarness(sys, p)
+	defer h.net.Close()
+	h.stabilize()
+	h.net.SetPhase(simnet.PhaseDissemination)
+	h.publish(p.Msgs, p.Payload)
+	h.net.RunFor(time.Duration(p.Msgs)*MessageInterval + sys.drain(p.Msgs))
+
+	nodes := h.net.NodeIDs()[1:] // all but the source: no node crashed
 	res := sysResult{
-		StabMB: phaseMB(tc.net, nodes, simnet.PhaseStabilization),
-		DissMB: phaseMB(tc.net, nodes, simnet.PhaseDissemination),
+		StabMB: phaseMB(h.net, nodes, simnet.PhaseStabilization),
+		DissMB: phaseMB(h.net, nodes, simnet.PhaseDissemination),
 	}
-	res.Latency, res.Completeness, res.Delivered = tr.results(nodes, p.Msgs)
-	res.MeanDelay = tr.meanDelay()
+	if sys.allDissemination {
+		res.StabMB, res.DissMB = 0, res.StabMB+res.DissMB
+	}
+	var spread time.Duration
+	spreadN, complete := 0, 0
+	for _, id := range nodes {
+		n := h.peers[id-1].DeliveredCount(Stream)
+		res.Delivered += n
+		if n == uint64(p.Msgs) {
+			complete++
+		}
+		if n > 1 {
+			spread += h.tr.last[id].Sub(h.tr.first[id])
+			spreadN++
+		}
+	}
+	if spreadN > 0 {
+		res.Latency = spread / time.Duration(spreadN)
+	}
+	if res.Delivered > 0 {
+		res.MeanDelay = h.tr.delaySum / time.Duration(res.Delivered)
+	}
+	res.Completeness = float64(complete) / float64(len(nodes))
 	return res
+}
+
+// simpleTree is the §III-D(b) efficiency baseline: a joiner asks the
+// coordinator, node 1, for a parent.
+var simpleTree = baseline[*simpletree.Peer]{
+	newPeer: func(self ids.NodeID, deliver func(brisa.StreamID, uint32, []byte)) *simpletree.Peer {
+		return simpletree.New(self, 1, deliver)
+	},
+	join:    func(p *simpletree.Peer, _ int, _ *rand.Rand) { p.Join() },
+	spacing: 50 * time.Millisecond,
+	settle:  10 * time.Second,
+	drain:   func(int) time.Duration { return 20 * time.Second },
+}
+
+// simpleGossip is the §III-D(a) robustness baseline on n nodes: a joiner
+// seeds its Cyclon view with a random earlier node. The paper books all
+// its traffic under dissemination, since the protocol builds no structure.
+func simpleGossip(n int) baseline[*simplegossip.Peer] {
+	return baseline[*simplegossip.Peer]{
+		newPeer: func(_ ids.NodeID, deliver func(brisa.StreamID, uint32, []byte)) *simplegossip.Peer {
+			return simplegossip.New(simplegossip.Config{
+				Fanout:            simplegossip.FanoutFor(n),
+				AntiEntropyPeriod: MessageInterval / 2, // double the creation frequency
+				OnDeliver:         deliver,
+			})
+		},
+		join: func(p *simplegossip.Peer, i int, rng *rand.Rand) {
+			p.Join(ids.NodeID(rng.Intn(i) + 1))
+		},
+		spacing:          50 * time.Millisecond,
+		settle:           20 * time.Second,
+		drain:            func(int) time.Duration { return 30 * time.Second },
+		allDissemination: true,
+	}
+}
+
+// tagSystem is the §III-D(c) TAG baseline with peer config cfg: a joiner
+// walks the list back from the source, node 1. Joins are sequential, since
+// TAG's list is ordered by join time.
+func tagSystem(cfg tag.Config) baseline[*tag.Peer] {
+	return baseline[*tag.Peer]{
+		newPeer: func(self ids.NodeID, deliver func(brisa.StreamID, uint32, []byte)) *tag.Peer {
+			c := cfg
+			c.Source, c.OnDeliver = 1, deliver
+			return tag.New(self, c)
+		},
+		join:    func(p *tag.Peer, _ int, _ *rand.Rand) { p.Join() },
+		spacing: 100 * time.Millisecond,
+		settle:  15 * time.Second,
+		// TAG's one-item pulls drain slower than the injection rate; allow
+		// the backlog to flush (the Table II effect).
+		drain: func(msgs int) time.Duration { return time.Duration(msgs)*400*time.Millisecond + 60*time.Second },
+	}
 }
 
 // systemRunners maps the §III-D system names to their runners, in the
@@ -394,9 +312,11 @@ func systemRunners() []struct {
 		name string
 		run  func(sysParams) sysResult
 	}{
-		{"SimpleTree", runSystemSimpleTree},
+		{"SimpleTree", func(p sysParams) sysResult { return runBaseline(simpleTree, p) }},
 		{"BRISA tree, view 4", runSystemBrisa},
-		{"SimpleGossip", runSystemSimpleGossip},
-		{"TAG, view 4", runSystemTAG},
+		{"SimpleGossip", func(p sysParams) sysResult { return runBaseline(simpleGossip(p.Nodes), p) }},
+		{"TAG, view 4", func(p sysParams) sysResult {
+			return runBaseline(tagSystem(tag.Config{PullPeriod: 400 * time.Millisecond, MaxItemsPerPull: 1}), p)
+		}},
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/cyclon"
 	"repro/internal/ids"
 	"repro/internal/node"
@@ -46,88 +47,17 @@ type Metrics struct {
 	AntiEntropyItems uint64
 }
 
-// streamState tracks one stream at one peer.
-type streamState struct {
-	started    bool
-	base       uint32
-	contigUpTo uint32
-	sparse     map[uint32]struct{}
-	payloads   map[uint32][]byte // full buffer: anti-entropy must serve any seq
-	nextSeq    uint32
-}
-
-func newStreamState() *streamState {
-	return &streamState{
-		sparse:   make(map[uint32]struct{}),
-		payloads: make(map[uint32][]byte),
-	}
-}
-
-func (s *streamState) delivered(seq uint32) bool {
-	if !s.started {
-		return false
-	}
-	if seq < s.base || seq < s.contigUpTo {
-		return true
-	}
-	_, ok := s.sparse[seq]
-	return ok
-}
-
-func (s *streamState) mark(seq uint32, payload []byte) {
-	if !s.started {
-		s.started = true
-		// Anti-entropy guarantees completeness over the whole stream
-		// (§III-D(a)), so the baseline is always sequence 1: holes before
-		// the first rumor a node happened to catch are chased too.
-		s.base = 1
-		s.contigUpTo = 1
-	}
-	s.sparse[seq] = struct{}{}
-	s.payloads[seq] = payload
-	for {
-		if _, ok := s.sparse[s.contigUpTo]; !ok {
-			break
-		}
-		delete(s.sparse, s.contigUpTo)
-		s.contigUpTo++
-	}
-}
-
-func (s *streamState) missingBelow(limit int) []uint32 {
-	out := make([]uint32, 0, 8)
-	// Sparse deliveries above contigUpTo imply holes below them; list the
-	// holes between contigUpTo and the highest sparse seq.
-	var hi uint32
-	for seq := range s.sparse {
-		if seq > hi {
-			hi = seq
-		}
-	}
-	for seq := s.contigUpTo; seq < hi && len(out) < limit; seq++ {
-		if _, ok := s.sparse[seq]; !ok {
-			out = append(out, seq)
-		}
-	}
-	return out
-}
-
 // Peer is one SimpleGossip node: Cyclon + rumor mongering + anti-entropy.
 type Peer struct {
 	node.BaseProto
 	cfg     Config
 	env     node.Env
 	pss     *cyclon.Protocol
-	streams map[wire.StreamID]*streamState
-	outbox  []queued
+	streams baselines.Streams
+	out     *node.Outbox
 	metrics Metrics
 	stopped bool
 	timer   node.Timer
-}
-
-type queued struct {
-	to ids.NodeID
-	m  wire.Message
 }
 
 // New builds a peer and its Cyclon instance.
@@ -142,9 +72,12 @@ func New(cfg Config) *Peer {
 		cfg.Cyclon = cyclon.DefaultConfig()
 	}
 	return &Peer{
-		cfg:     cfg,
-		pss:     cyclon.New(cfg.Cyclon),
-		streams: make(map[wire.StreamID]*streamState),
+		cfg: cfg,
+		pss: cyclon.New(cfg.Cyclon),
+		// Anti-entropy guarantees completeness over the whole stream
+		// (§III-D(a)), so every log starts at sequence 1: holes before the
+		// first rumor a node happened to catch are chased too.
+		streams: baselines.NewStreams(1, true),
 	}
 }
 
@@ -171,17 +104,12 @@ func (p *Peer) Metrics() Metrics { return p.metrics }
 func (p *Peer) View() []ids.NodeID { return p.pss.View() }
 
 // DeliveredCount returns how many distinct messages were delivered.
-func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 {
-	st, ok := p.streams[stream]
-	if !ok || !st.started {
-		return 0
-	}
-	return uint64(st.contigUpTo-st.base) + uint64(len(st.sparse))
-}
+func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 { return p.streams.Count(stream) }
 
 // Start implements node.Proto.
 func (p *Peer) Start(env node.Env) {
 	p.env = env
+	p.out = node.NewOutbox(env)
 	delay := time.Duration(env.Rand().Int63n(int64(p.cfg.AntiEntropyPeriod)))
 	p.timer = env.After(p.cfg.AntiEntropyPeriod+delay, p.antiEntropyTick)
 }
@@ -194,24 +122,9 @@ func (p *Peer) Stop() {
 	}
 }
 
-func (p *Peer) stream(id wire.StreamID) *streamState {
-	st, ok := p.streams[id]
-	if !ok {
-		st = newStreamState()
-		p.streams[id] = st
-	}
-	return st
-}
-
 // Publish injects the next message of a stream this peer sources.
 func (p *Peer) Publish(id wire.StreamID, payload []byte) uint32 {
-	st := p.stream(id)
-	if st.nextSeq == 0 {
-		st.nextSeq = 1
-	}
-	seq := st.nextSeq
-	st.nextSeq++
-	st.mark(seq, payload)
+	seq := p.streams.Get(id).Publish(payload)
 	p.metrics.Delivered++
 	p.push(id, seq, payload, ids.Nil)
 	return seq
@@ -227,7 +140,7 @@ func (p *Peer) push(id wire.StreamID, seq uint32, payload []byte, except ids.Nod
 		if t == except || sent >= p.cfg.Fanout {
 			continue
 		}
-		p.sendTo(t, msg)
+		p.out.Send(t, msg)
 		p.metrics.RumorsSent++
 		sent++
 	}
@@ -243,15 +156,16 @@ func (p *Peer) antiEntropyTick() {
 		return
 	}
 	target := view[0]
-	for id, st := range p.streams {
-		if !st.started {
+	for _, id := range p.streams.IDs() {
+		st := p.streams.Get(id)
+		if !st.Started() {
 			continue
 		}
 		p.metrics.AntiEntropyAsks++
-		p.sendTo(target, wire.AntiEntropyRequest{
+		p.out.Send(target, wire.AntiEntropyRequest{
 			Stream:  id,
-			UpTo:    st.contigUpTo,
-			Missing: st.missingBelow(64),
+			UpTo:    st.UpTo(),
+			Missing: st.Holes(64),
 		})
 	}
 }
@@ -269,12 +183,10 @@ func (p *Peer) Receive(from ids.NodeID, m wire.Message) {
 }
 
 func (p *Peer) onRumor(from ids.NodeID, m wire.Rumor) {
-	st := p.stream(m.Stream)
-	if st.delivered(m.Seq) {
+	if !p.streams.Get(m.Stream).Add(m.Seq, m.Payload) {
 		p.metrics.Duplicates++
 		return // infect and die: duplicates are dropped silently
 	}
-	st.mark(m.Seq, m.Payload)
 	p.metrics.Delivered++
 	if p.cfg.OnDeliver != nil {
 		p.cfg.OnDeliver(m.Stream, m.Seq, m.Payload)
@@ -283,37 +195,23 @@ func (p *Peer) onRumor(from ids.NodeID, m wire.Rumor) {
 }
 
 func (p *Peer) onAERequest(from ids.NodeID, m wire.AntiEntropyRequest) {
-	st := p.stream(m.Stream)
-	var items []wire.StreamItem
 	// Serve the explicitly missing seqs first, then anything at or above
 	// the requester's contiguous mark.
-	for _, seq := range m.Missing {
-		if payload, ok := st.payloads[seq]; ok {
-			items = append(items, wire.StreamItem{Seq: seq, Payload: payload})
-		}
-	}
-	for seq := m.UpTo; len(items) < 64; seq++ {
-		payload, ok := st.payloads[seq]
-		if !ok {
-			break
-		}
-		items = append(items, wire.StreamItem{Seq: seq, Payload: payload})
-	}
+	items := p.streams.Get(m.Stream).Serve(m.Missing, m.UpTo, 64)
 	if len(items) == 0 {
 		return
 	}
 	p.metrics.AntiEntropyItems += uint64(len(items))
-	p.sendTo(from, wire.AntiEntropyReply{Stream: m.Stream, Items: items})
+	p.out.Send(from, wire.AntiEntropyReply{Stream: m.Stream, Items: items})
 }
 
 func (p *Peer) onAEReply(from ids.NodeID, m wire.AntiEntropyReply) {
-	st := p.stream(m.Stream)
+	st := p.streams.Get(m.Stream)
 	for _, it := range m.Items {
-		if st.delivered(it.Seq) {
+		if !st.Add(it.Seq, it.Payload) {
 			p.metrics.Duplicates++
 			continue
 		}
-		st.mark(it.Seq, it.Payload)
 		p.metrics.Delivered++
 		if p.cfg.OnDeliver != nil {
 			p.cfg.OnDeliver(m.Stream, it.Seq, it.Payload)
@@ -323,39 +221,8 @@ func (p *Peer) onAEReply(from ids.NodeID, m wire.AntiEntropyReply) {
 	}
 }
 
-// sendTo delivers over an existing or freshly dialed connection.
-func (p *Peer) sendTo(to ids.NodeID, m wire.Message) {
-	if to == p.env.ID() {
-		return
-	}
-	if p.env.Connected(to) {
-		p.env.Send(to, m)
-		return
-	}
-	p.outbox = append(p.outbox, queued{to: to, m: m})
-	p.env.Connect(to)
-}
-
 // ConnUp implements node.Proto.
-func (p *Peer) ConnUp(peer ids.NodeID) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to == peer {
-			p.env.Send(peer, q.m)
-		} else {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
-}
+func (p *Peer) ConnUp(peer ids.NodeID) { p.out.ConnUp(peer) }
 
 // ConnDown implements node.Proto.
-func (p *Peer) ConnDown(peer ids.NodeID, err error) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to != peer {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
-}
+func (p *Peer) ConnDown(peer ids.NodeID, err error) { p.out.ConnDown(peer) }

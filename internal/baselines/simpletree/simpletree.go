@@ -10,6 +10,7 @@ package simpletree
 import (
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -35,23 +36,10 @@ type Peer struct {
 	parent    ids.NodeID
 	children  *ids.Set
 	attached  bool
-	outbox    []queued
-	streams   map[wire.StreamID]*streamState
+	out       *node.Outbox
+	streams   baselines.Streams
 	metrics   Metrics
 	onDeliver func(stream wire.StreamID, seq uint32, payload []byte)
-}
-
-type queued struct {
-	to ids.NodeID
-	m  wire.Message
-}
-
-type streamState struct {
-	started    bool
-	base       uint32
-	contigUpTo uint32
-	sparse     map[uint32]struct{}
-	nextSeq    uint32
 }
 
 // New builds a peer. coord names the coordinator node; the peer whose own
@@ -61,7 +49,7 @@ func New(self, coord ids.NodeID, onDeliver func(wire.StreamID, uint32, []byte)) 
 		coord:     coord,
 		isCoord:   self == coord,
 		children:  ids.NewSet(),
-		streams:   make(map[wire.StreamID]*streamState),
+		streams:   baselines.NewStreams(0, false),
 		onDeliver: onDeliver,
 	}
 }
@@ -87,17 +75,12 @@ func (p *Peer) Parent() ids.NodeID { return p.parent }
 func (p *Peer) Children() []ids.NodeID { return p.children.Snapshot() }
 
 // DeliveredCount returns how many distinct messages were delivered.
-func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 {
-	st, ok := p.streams[stream]
-	if !ok || !st.started {
-		return 0
-	}
-	return uint64(st.contigUpTo-st.base) + uint64(len(st.sparse))
-}
+func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 { return p.streams.Count(stream) }
 
 // Start implements node.Proto.
 func (p *Peer) Start(env node.Env) {
 	p.env = env
+	p.out = node.NewOutbox(env)
 	if p.isCoord {
 		p.attached = true
 		p.joined = append(p.joined, env.ID())
@@ -109,55 +92,13 @@ func (p *Peer) Join() {
 	if p.isCoord {
 		return
 	}
-	p.sendTo(p.coord, wire.CoordJoin{})
-}
-
-func (p *Peer) stream(id wire.StreamID) *streamState {
-	st, ok := p.streams[id]
-	if !ok {
-		st = &streamState{sparse: make(map[uint32]struct{})}
-		p.streams[id] = st
-	}
-	return st
-}
-
-func (st *streamState) delivered(seq uint32) bool {
-	if !st.started {
-		return false
-	}
-	if seq < st.base || seq < st.contigUpTo {
-		return true
-	}
-	_, ok := st.sparse[seq]
-	return ok
-}
-
-func (st *streamState) mark(seq uint32) {
-	if !st.started {
-		st.started = true
-		st.base = seq
-		st.contigUpTo = seq
-	}
-	st.sparse[seq] = struct{}{}
-	for {
-		if _, ok := st.sparse[st.contigUpTo]; !ok {
-			break
-		}
-		delete(st.sparse, st.contigUpTo)
-		st.contigUpTo++
-	}
+	p.out.Send(p.coord, wire.CoordJoin{})
 }
 
 // Publish pushes the next message of a stream down the tree (root only in
 // the paper's experiments, but any attached node can source a stream).
 func (p *Peer) Publish(id wire.StreamID, payload []byte) uint32 {
-	st := p.stream(id)
-	if st.nextSeq == 0 {
-		st.nextSeq = 1
-	}
-	seq := st.nextSeq
-	st.nextSeq++
-	st.mark(seq)
+	seq := p.streams.Get(id).Publish(payload)
 	p.metrics.Delivered++
 	p.relay(ids.Nil, wire.TreeData{Stream: id, Seq: seq, Payload: payload})
 	return seq
@@ -196,10 +137,10 @@ func (p *Peer) onJoinRequest(from ids.NodeID) {
 		if parent == p.env.ID() {
 			// Shortcut: the joiner is our own child.
 			p.children.Add(from)
-			p.sendTo(from, wire.CoordAssign{Parent: p.env.ID()})
+			p.out.Send(from, wire.CoordAssign{Parent: p.env.ID()})
 			return
 		}
-		p.sendTo(from, wire.CoordAssign{Parent: parent})
+		p.out.Send(from, wire.CoordAssign{Parent: parent})
 		return
 	}
 	// Attach notification from a new child.
@@ -210,17 +151,15 @@ func (p *Peer) onAssign(m wire.CoordAssign) {
 	p.parent = m.Parent
 	p.attached = true
 	if m.Parent != p.coord {
-		p.sendTo(m.Parent, wire.CoordJoin{}) // attach to the parent
+		p.out.Send(m.Parent, wire.CoordJoin{}) // attach to the parent
 	}
 }
 
 func (p *Peer) onData(from ids.NodeID, m wire.TreeData) {
-	st := p.stream(m.Stream)
-	if st.delivered(m.Seq) {
+	if !p.streams.Get(m.Stream).Add(m.Seq, nil) {
 		p.metrics.Duplicates++
 		return
 	}
-	st.mark(m.Seq)
 	p.metrics.Delivered++
 	if p.onDeliver != nil {
 		p.onDeliver(m.Stream, m.Seq, m.Payload)
@@ -228,36 +167,11 @@ func (p *Peer) onData(from ids.NodeID, m wire.TreeData) {
 	p.relay(from, m)
 }
 
-func (p *Peer) sendTo(to ids.NodeID, m wire.Message) {
-	if p.env.Connected(to) {
-		p.env.Send(to, m)
-		return
-	}
-	p.outbox = append(p.outbox, queued{to: to, m: m})
-	p.env.Connect(to)
-}
-
 // ConnUp implements node.Proto.
-func (p *Peer) ConnUp(peer ids.NodeID) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to == peer {
-			p.env.Send(peer, q.m)
-		} else {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
-}
+func (p *Peer) ConnUp(peer ids.NodeID) { p.out.ConnUp(peer) }
 
 // ConnDown implements node.Proto.
 func (p *Peer) ConnDown(peer ids.NodeID, err error) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to != peer {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
+	p.out.ConnDown(peer)
 	p.children.Remove(peer) // no repair: SimpleTree ignores dynamism
 }

@@ -14,6 +14,7 @@ package tag
 import (
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/ids"
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -75,16 +76,6 @@ const (
 	walkProbing           // waiting for a TagJoinAccept from walkTarget
 )
 
-type streamState struct {
-	started    bool
-	base       uint32
-	contigUpTo uint32
-	sparse     map[uint32]struct{}
-	payloads   map[uint32][]byte
-	nextSeq    uint32
-	remoteUpTo uint32 // highest announced sequence; gates pulls
-}
-
 // Peer is one TAG node.
 type Peer struct {
 	node.BaseProto
@@ -109,17 +100,13 @@ type Peer struct {
 	parentLostAt time.Time
 	repairHard   bool
 
-	streams  map[wire.StreamID]*streamState
-	outbox   []queued
-	pullFlip bool
-	metrics  Metrics
-	stopped  bool
-	timer    node.Timer
-}
-
-type queued struct {
-	to ids.NodeID
-	m  wire.Message
+	streams   baselines.Streams
+	announced map[wire.StreamID]uint32 // highest sequence announced per stream; gates pulls
+	out       *node.Outbox
+	pullFlip  bool
+	metrics   Metrics
+	stopped   bool
+	timer     node.Timer
 }
 
 // Kinds returns the wire kinds this protocol owns.
@@ -135,10 +122,11 @@ func Kinds() []wire.Kind {
 func New(self ids.NodeID, cfg Config) *Peer {
 	cfg = cfg.withDefaults()
 	return &Peer{
-		cfg:      cfg,
-		isSource: self == cfg.Source,
-		children: ids.NewSet(),
-		streams:  make(map[wire.StreamID]*streamState),
+		cfg:       cfg,
+		isSource:  self == cfg.Source,
+		children:  ids.NewSet(),
+		streams:   baselines.NewStreams(0, true),
+		announced: make(map[wire.StreamID]uint32),
 	}
 }
 
@@ -169,17 +157,12 @@ func (p *Peer) Children() []ids.NodeID { return p.children.Snapshot() }
 func (p *Peer) SettleTime() (time.Duration, bool) { return p.settleDur, p.settled }
 
 // DeliveredCount returns how many distinct messages were delivered.
-func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 {
-	st, ok := p.streams[stream]
-	if !ok || !st.started {
-		return 0
-	}
-	return uint64(st.contigUpTo-st.base) + uint64(len(st.sparse))
-}
+func (p *Peer) DeliveredCount(stream wire.StreamID) uint64 { return p.streams.Count(stream) }
 
 // Start implements node.Proto.
 func (p *Peer) Start(env node.Env) {
 	p.env = env
+	p.out = node.NewOutbox(env)
 	if p.isSource {
 		p.tail = env.ID()
 		p.settled = true
@@ -203,58 +186,16 @@ func (p *Peer) Join() {
 	}
 	p.joinStarted = p.env.Now()
 	p.phase = walkTail
-	p.sendTo(p.cfg.Source, wire.TagJoinRequest{})
-}
-
-func (p *Peer) stream(id wire.StreamID) *streamState {
-	st, ok := p.streams[id]
-	if !ok {
-		st = &streamState{sparse: make(map[uint32]struct{}), payloads: make(map[uint32][]byte)}
-		p.streams[id] = st
-	}
-	return st
-}
-
-func (st *streamState) delivered(seq uint32) bool {
-	if !st.started {
-		return false
-	}
-	if seq < st.base || seq < st.contigUpTo {
-		return true
-	}
-	_, ok := st.sparse[seq]
-	return ok
-}
-
-func (st *streamState) mark(seq uint32, payload []byte) {
-	if !st.started {
-		st.started = true
-		st.base = seq
-		st.contigUpTo = seq
-	}
-	st.sparse[seq] = struct{}{}
-	st.payloads[seq] = payload
-	for {
-		if _, ok := st.sparse[st.contigUpTo]; !ok {
-			break
-		}
-		delete(st.sparse, st.contigUpTo)
-		st.contigUpTo++
-	}
+	p.out.Send(p.cfg.Source, wire.TagJoinRequest{})
 }
 
 // Publish injects the next message at the source. Children learn about it
 // via the relayed announcement and fetch it with their next pull.
 func (p *Peer) Publish(id wire.StreamID, payload []byte) uint32 {
-	st := p.stream(id)
-	if st.nextSeq == 0 {
-		st.nextSeq = 1
-	}
-	seq := st.nextSeq
-	st.nextSeq++
-	st.mark(seq, payload)
+	st := p.streams.Get(id)
+	seq := st.Publish(payload)
 	p.metrics.Delivered++
-	p.announce(id, st.contigUpTo, ids.Nil)
+	p.announce(id, st.UpTo(), ids.Nil)
 	return seq
 }
 
@@ -267,7 +208,7 @@ func (p *Peer) announce(id wire.StreamID, upTo uint32, except ids.NodeID) {
 	}
 	for _, g := range p.gossip {
 		if g != except {
-			p.sendTo(g, msg)
+			p.out.Send(g, msg)
 		}
 	}
 }
@@ -291,56 +232,18 @@ func (p *Peer) pullTick() {
 	if target == ids.Nil {
 		return
 	}
-	for id, st := range p.streams {
-		if !st.started && st.remoteUpTo == 0 {
-			continue
-		}
-		if st.remoteUpTo <= st.contigUpTo && len(st.sparse) == 0 && st.started {
+	for _, id := range p.streams.IDs() {
+		st := p.streams.Get(id)
+		if p.announced[id] <= st.UpTo() && !st.HasHoles() {
 			continue // nothing new announced
 		}
 		p.metrics.PullsSent++
-		p.sendTo(target, wire.TagPull{Stream: id, UpTo: st.contigUpTo, Missing: missingOf(st, 16)})
+		p.out.Send(target, wire.TagPull{Stream: id, UpTo: st.UpTo(), Missing: st.Holes(16)})
 	}
-}
-
-func missingOf(st *streamState, limit int) []uint32 {
-	var hi uint32
-	for seq := range st.sparse {
-		if seq > hi {
-			hi = seq
-		}
-	}
-	out := make([]uint32, 0, 8)
-	for seq := st.contigUpTo; seq < hi && len(out) < limit; seq++ {
-		if _, ok := st.sparse[seq]; !ok {
-			out = append(out, seq)
-		}
-	}
-	return out
 }
 
 func (p *Peer) onPull(from ids.NodeID, m wire.TagPull) {
-	st := p.stream(m.Stream)
-	var items []wire.StreamItem
-	for _, seq := range m.Missing {
-		if len(items) >= p.cfg.MaxItemsPerPull {
-			break
-		}
-		if payload, ok := st.payloads[seq]; ok {
-			items = append(items, wire.StreamItem{Seq: seq, Payload: payload})
-		}
-	}
-	start := m.UpTo
-	if !st.started || start < st.base {
-		start = st.base
-	}
-	for seq := start; len(items) < p.cfg.MaxItemsPerPull; seq++ {
-		payload, ok := st.payloads[seq]
-		if !ok {
-			break
-		}
-		items = append(items, wire.StreamItem{Seq: seq, Payload: payload})
-	}
+	items := p.streams.Get(m.Stream).Serve(m.Missing, m.UpTo, p.cfg.MaxItemsPerPull)
 	if len(items) == 0 {
 		return
 	}
@@ -349,14 +252,13 @@ func (p *Peer) onPull(from ids.NodeID, m wire.TagPull) {
 }
 
 func (p *Peer) onPullReply(m wire.TagPullReply) {
-	st := p.stream(m.Stream)
+	st := p.streams.Get(m.Stream)
 	changed := false
 	for _, it := range m.Items {
-		if st.delivered(it.Seq) {
+		if !st.Add(it.Seq, it.Payload) {
 			p.metrics.Duplicates++
 			continue
 		}
-		st.mark(it.Seq, it.Payload)
 		p.metrics.Delivered++
 		changed = true
 		if p.cfg.OnDeliver != nil {
@@ -364,14 +266,14 @@ func (p *Peer) onPullReply(m wire.TagPullReply) {
 		}
 	}
 	if changed {
-		p.announce(m.Stream, st.contigUpTo, ids.Nil)
+		p.announce(m.Stream, st.UpTo(), ids.Nil)
 	}
 }
 
 func (p *Peer) onAnnounce(from ids.NodeID, m wire.TagAnnounce) {
-	st := p.stream(m.Stream)
-	if m.UpTo > st.remoteUpTo {
-		st.remoteUpTo = m.UpTo
+	p.streams.Get(m.Stream) // pullTick walks the known streams
+	if m.UpTo > p.announced[m.Stream] {
+		p.announced[m.Stream] = m.UpTo
 		p.announce(m.Stream, m.UpTo, from)
 	}
 }
@@ -410,7 +312,7 @@ func (p *Peer) onJoinAccept(from ids.NodeID, m wire.TagJoinAccept) {
 		} else {
 			p.walkTarget = p.pred
 		}
-		p.sendTo(p.walkTarget, wire.TagWalk{Joiner: p.env.ID()})
+		p.out.Send(p.walkTarget, wire.TagWalk{Joiner: p.env.ID()})
 
 	case walkProbing:
 		if from != p.walkTarget {
@@ -429,7 +331,7 @@ func (p *Peer) onJoinAccept(from ids.NodeID, m wire.TagJoinAccept) {
 			next = p.cfg.Source // walk exhausted: the source always accepts
 		}
 		p.walkTarget = next
-		p.sendTo(next, wire.TagWalk{Joiner: p.env.ID()})
+		p.out.Send(next, wire.TagWalk{Joiner: p.env.ID()})
 	}
 }
 
@@ -498,10 +400,10 @@ func (p *Peer) keepsConn(id ids.NodeID) bool {
 func (p *Peer) broadcastLinks() {
 	msg := wire.TagLinkUpdate{Pred: p.pred, Pred2: p.pred2, Succ: p.succ, Succ2: p.succ2}
 	if p.pred != ids.Nil {
-		p.sendTo(p.pred, msg)
+		p.out.Send(p.pred, msg)
 	}
 	if p.succ != ids.Nil {
-		p.sendTo(p.succ, msg)
+		p.out.Send(p.succ, msg)
 	}
 }
 
@@ -542,14 +444,7 @@ func (p *Peer) onLinkUpdate(from ids.NodeID, m wire.TagLinkUpdate) {
 // 2-hop knowledge and re-inserts through the source when the list is broken
 // by two consecutive failures.
 func (p *Peer) ConnDown(peer ids.NodeID, err error) {
-	// Drop any queued messages for the dead peer.
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to != peer {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
+	p.out.ConnDown(peer)
 
 	p.children.Remove(peer)
 	p.gossip = ids.Remove(p.gossip, peer)
@@ -588,7 +483,7 @@ func (p *Peer) recoverParent() {
 		p.repairHard = false
 		p.phase = walkProbing
 		p.walkTarget = p.pred
-		p.sendTo(p.pred, wire.TagWalk{Joiner: p.env.ID()})
+		p.out.Send(p.pred, wire.TagWalk{Joiner: p.env.ID()})
 		return
 	}
 	p.hardRejoin()
@@ -599,7 +494,7 @@ func (p *Peer) hardRejoin() {
 	p.repairHard = true
 	p.phase = walkTail
 	p.walkTarget = ids.Nil
-	p.sendTo(p.cfg.Source, wire.TagJoinRequest{})
+	p.out.Send(p.cfg.Source, wire.TagJoinRequest{})
 }
 
 // ---------------------------------------------------------------- plumbing
@@ -624,27 +519,5 @@ func (p *Peer) Receive(from ids.NodeID, m wire.Message) {
 	}
 }
 
-func (p *Peer) sendTo(to ids.NodeID, m wire.Message) {
-	if to == p.env.ID() || to == ids.Nil {
-		return
-	}
-	if p.env.Connected(to) {
-		p.env.Send(to, m)
-		return
-	}
-	p.outbox = append(p.outbox, queued{to: to, m: m})
-	p.env.Connect(to)
-}
-
 // ConnUp implements node.Proto.
-func (p *Peer) ConnUp(peer ids.NodeID) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to == peer {
-			p.env.Send(peer, q.m)
-		} else {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
-}
+func (p *Peer) ConnUp(peer ids.NodeID) { p.out.ConnUp(peer) }

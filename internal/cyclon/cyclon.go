@@ -43,7 +43,7 @@ type Protocol struct {
 	env     node.Env
 	view    []entry
 	pending map[ids.NodeID][]entry // entries sent in an in-flight shuffle
-	outbox  []queuedMsg            // messages awaiting connection setup
+	out     *node.Outbox           // shuffles go over short-lived connections
 	stopped bool
 	timer   node.Timer
 }
@@ -67,6 +67,7 @@ func New(cfg Config) *Protocol {
 // Start implements node.Proto.
 func (p *Protocol) Start(env node.Env) {
 	p.env = env
+	p.out = node.NewOutbox(env)
 	delay := p.cfg.Period/2 + time.Duration(env.Rand().Int63n(int64(p.cfg.Period)))
 	p.timer = env.After(delay, p.tick)
 }
@@ -151,7 +152,7 @@ func (p *Protocol) tick() {
 	sent := p.draw(p.cfg.ShuffleLen - 1)
 	p.pending[target] = sent
 	msg := wire.CyclonShuffle{Entries: toWire(sent, p.env.ID())}
-	p.sendTo(target, msg)
+	p.out.Send(target, msg)
 }
 
 // draw removes up to n random entries from the view and returns them.
@@ -175,51 +176,12 @@ func toWire(es []entry, self ids.NodeID) []wire.CyclonEntry {
 	return out
 }
 
-// sendTo delivers a message over a short-lived connection if none exists.
-// Cyclon's canonical description uses connectionless exchanges; the
-// connection dance is transport plumbing.
-func (p *Protocol) sendTo(to ids.NodeID, m wire.Message) {
-	if p.env.Connected(to) {
-		p.env.Send(to, m)
-		return
-	}
-	p.env.Connect(to)
-	p.queueOnUp(to, m)
-}
-
-// queuedMsg is a message awaiting connection establishment; the outbox is
-// tiny, so a slice scan is fine.
-type queuedMsg struct {
-	to ids.NodeID
-	m  wire.Message
-}
-
-func (p *Protocol) queueOnUp(to ids.NodeID, m wire.Message) {
-	p.outbox = append(p.outbox, queuedMsg{to: to, m: m})
-}
-
 // ConnUp implements node.Proto.
-func (p *Protocol) ConnUp(peer ids.NodeID) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to == peer {
-			p.env.Send(peer, q.m)
-		} else {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
-}
+func (p *Protocol) ConnUp(peer ids.NodeID) { p.out.ConnUp(peer) }
 
 // ConnDown implements node.Proto.
 func (p *Protocol) ConnDown(peer ids.NodeID, err error) {
-	kept := p.outbox[:0]
-	for _, q := range p.outbox {
-		if q.to != peer {
-			kept = append(kept, q)
-		}
-	}
-	p.outbox = kept
+	p.out.ConnDown(peer)
 	// A failed shuffle partner: drop the pending state; the entries we
 	// removed are lost, which is Cyclon's self-cleaning behavior.
 	delete(p.pending, peer)
@@ -265,11 +227,4 @@ func (p *Protocol) integrate(received []wire.CyclonEntry, drawn []entry) {
 		}
 		p.insert(e)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -18,7 +18,8 @@ import (
 // equivalence contract). Entries are import-path suffixes: a package
 // matches if its import path equals an entry or ends in "/"+entry, so the
 // same table covers both the real module ("repro/internal/core") and the
-// analysistest fixtures ("internal/core").
+// analysistest fixtures ("internal/core"). An entry never covers the
+// packages below it, so each baseline subpackage is listed on its own.
 //
 // internal/livenet is deliberately absent: the live runtime runs on wall
 // clocks and OS scheduling by design.
@@ -28,6 +29,11 @@ var DeterministicPackages = []string{
 	"internal/hyparview",
 	"internal/cyclon",
 	"internal/stats",
+	"internal/baselines",
+	"internal/baselines/simpletree",
+	"internal/baselines/simplegossip",
+	"internal/baselines/tag",
+	"experiments",
 }
 
 // IsDeterministic reports whether the package at path is bound by the

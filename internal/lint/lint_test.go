@@ -16,7 +16,11 @@ func TestIsDeterministic(t *testing.T) {
 		{"repro/internal/hyparview", true},
 		{"repro/internal/cyclon", true},
 		{"repro/internal/stats", true},
-		{"internal/core", true}, // fixture-style path
+		{"repro/internal/baselines", true},
+		{"repro/internal/baselines/tag", true},
+		{"repro/experiments", true},
+		{"repro/internal/baselines/tag/x", false}, // entries do not cover subpackages
+		{"internal/core", true},                   // fixture-style path
 		{"repro/internal/livenet", false},
 		{"repro/internal/wire", false},
 		{"repro/internal/corex", false}, // no partial-segment matches

@@ -596,7 +596,10 @@ func depthHistogram(source NodeID, parents map[NodeID][]NodeID) *IntDist {
 	}
 	h := stats.NewIntHistogram()
 	h.Add(0) // the source
-	for id := range parents {
+	// Sorted: a node reached through one still on the stack is marked done
+	// without a depth, so under parent cycles the visit order decides which
+	// nodes get one.
+	for _, id := range sortedKeys(parents) {
 		if d, ok := depthOf(id); ok {
 			h.Add(d)
 		}
